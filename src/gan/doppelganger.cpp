@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
+#include <optional>
 #include <stdexcept>
 
 #include "common/stopwatch.hpp"
+#include "common/thread_pool.hpp"
+#include "ml/kernels.hpp"
 #include "ml/serialize.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -26,32 +30,97 @@ void random_rows_into(std::size_t n, std::size_t batch, Rng& rng,
     r = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
   }
 }
+
+void uniforms_into(std::size_t n, Rng& rng, std::vector<double>& out) {
+  out.resize(n);
+  for (double& u : out) u = rng.uniform();
+}
+
+// Waits on every future still valid when the scope ends, so an exception
+// cannot unwind past helper tasks that still use the model's buffers.
+struct WaitAll {
+  std::vector<std::future<void>>& futures;
+  ~WaitAll() {
+    for (auto& f : futures) {
+      if (f.valid()) f.wait();
+    }
+  }
+};
 }  // namespace
+
+// One fit() call's helper threads. Each lane is a one-thread pool, so a
+// lane runs its tasks in submission order: lane 0 runs the critic steps'
+// forwards back to back on the mirror, the last lane the generator step's
+// forward on gen_ (with one helper, lane 0 runs both in that order).
+struct DoppelGanger::Helpers {
+  explicit Helpers(std::size_t lanes) : cpu(lanes, 0.0) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      pools.push_back(std::make_unique<ThreadPool>(1));
+    }
+  }
+  std::vector<double> cpu;  // thread CPU seconds of each lane's tasks
+  std::vector<std::unique_ptr<ThreadPool>> pools;  // joined before cpu dies
+};
+
+DoppelGanger::Generator::Generator(const TimeSeriesSpec& spec,
+                                   const DgConfig& config, Rng& rng) {
+  const std::size_t A = spec.attribute_dim();
+  // Attribute generator MLP with a mixed head matching the attribute layout.
+  std::vector<std::size_t> attr_dims{config.attr_noise_dim};
+  attr_dims.insert(attr_dims.end(), config.attr_hidden.begin(),
+                   config.attr_hidden.end());
+  attr_dims.push_back(A);
+  attr = std::make_unique<ml::Mlp>(attr_dims, ml::Activation::kRelu,
+                                   spec.attribute_segments, rng);
+  rnn = std::make_unique<ml::Gru>(config.feat_noise_dim + A,
+                                  config.rnn_hidden, rng);
+  out_linear = std::make_unique<ml::Linear>(
+      config.rnn_hidden, spec.feature_dim() + kFlagDims, rng);
+  std::vector<ml::OutputSegment> out_segments = spec.feature_segments;
+  out_segments.push_back({ml::OutputSegment::Kind::kSoftmax, kFlagDims});
+  out_head = std::make_unique<ml::MixedHead>(std::move(out_segments));
+}
+
+std::vector<ml::Parameter*> DoppelGanger::Generator::parameters() {
+  std::vector<ml::Parameter*> params = attr->parameters();
+  for (ml::Parameter* p : rnn->parameters()) params.push_back(p);
+  for (ml::Parameter* p : out_linear->parameters()) params.push_back(p);
+  return params;
+}
+
+void DoppelGanger::Generator::forward(const Matrix& za,
+                                      const std::vector<Matrix>& zts,
+                                      GenOutput& out) {
+  const std::size_t T = zts.size();
+  const std::size_t batch = za.rows();
+  ws.reset();
+  out.attributes = attr->forward(za);
+
+  xs.resize(T);
+  for (std::size_t t = 0; t < T; ++t) {
+    concat_cols_into(zts[t], out.attributes, xs[t]);
+  }
+  const std::vector<Matrix>& hs = rnn->forward(xs);
+  Matrix& stacked = ws.get(T * batch, rnn->hidden_dim());
+  stack_rows_into(hs, stacked);  // [T*B, H], t-major
+  const Matrix& heads = out_head->forward(out_linear->forward(stacked));
+
+  out.features.resize(T);
+  for (std::size_t t = 0; t < T; ++t) {
+    slice_rows_into(heads, t * batch, (t + 1) * batch, out.features[t]);
+  }
+}
 
 DoppelGanger::DoppelGanger(TimeSeriesSpec spec, DgConfig config,
                            std::uint64_t seed)
-    : spec_(std::move(spec)), config_(config), seed_(seed), rng_(seed) {
+    : spec_(std::move(spec)),
+      config_(config),
+      seed_(seed),
+      rng_(seed),
+      gen_(spec_, config_, rng_) {
   const std::size_t A = spec_.attribute_dim();
-  const std::size_t F = spec_.feature_dim();
-  const std::size_t step_dim = F + kFlagDims;
   const std::size_t T = spec_.max_len;
-  const std::size_t disc_in = A + T * step_dim;
-
-  // Attribute generator MLP with a mixed head matching the attribute layout.
-  std::vector<std::size_t> attr_dims{config_.attr_noise_dim};
-  attr_dims.insert(attr_dims.end(), config_.attr_hidden.begin(),
-                   config_.attr_hidden.end());
-  attr_dims.push_back(A);
-  attr_gen_ = std::make_unique<ml::Mlp>(attr_dims, ml::Activation::kRelu,
-                                        spec_.attribute_segments, rng_);
-
-  rnn_ = std::make_unique<ml::Gru>(config_.feat_noise_dim + A,
-                                   config_.rnn_hidden, rng_);
-  out_linear_ =
-      std::make_unique<ml::Linear>(config_.rnn_hidden, step_dim, rng_);
-  std::vector<ml::OutputSegment> out_segments = spec_.feature_segments;
-  out_segments.push_back({ml::OutputSegment::Kind::kSoftmax, kFlagDims});
-  out_head_ = std::make_unique<ml::MixedHead>(std::move(out_segments));
+  const std::size_t disc_in = A + T * (spec_.feature_dim() + kFlagDims);
 
   std::vector<std::size_t> disc_dims{disc_in};
   disc_dims.insert(disc_dims.end(), config_.disc_hidden.begin(),
@@ -75,10 +144,7 @@ DoppelGanger::DoppelGanger(TimeSeriesSpec spec, DgConfig config,
 }
 
 std::vector<ml::Parameter*> DoppelGanger::generator_params() {
-  std::vector<ml::Parameter*> params = attr_gen_->parameters();
-  for (ml::Parameter* p : rnn_->parameters()) params.push_back(p);
-  for (ml::Parameter* p : out_linear_->parameters()) params.push_back(p);
-  return params;
+  return gen_.parameters();
 }
 
 std::vector<ml::Parameter*> DoppelGanger::discriminator_params() {
@@ -95,36 +161,13 @@ std::vector<ml::Parameter*> DoppelGanger::all_params() {
 
 std::size_t DoppelGanger::flag_offset() const { return spec_.feature_dim(); }
 
-void DoppelGanger::generator_forward(std::size_t batch, Rng& rng,
-                                     GenOutput& out) {
-  const std::size_t T = spec_.max_len;
-  Matrix& za = ws_.get(batch, config_.attr_noise_dim);
-  randn_fill(za, rng);
-  zts_.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    zts_[t].resize(batch, config_.feat_noise_dim);
-    randn_fill(zts_[t], rng);
-  }
-  generator_tail(za, out);
-}
-
-void DoppelGanger::generator_tail(const Matrix& za, GenOutput& out) {
-  const std::size_t T = spec_.max_len;
-  const std::size_t batch = za.rows();
-  out.attributes = attr_gen_->forward(za);
-
-  xs_.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    concat_cols_into(zts_[t], out.attributes, xs_[t]);
-  }
-  const std::vector<Matrix>& hs = rnn_->forward(xs_);
-  Matrix& stacked = ws_.get(T * batch, rnn_->hidden_dim());
-  stack_rows_into(hs, stacked);  // [T*B, H], t-major
-  const Matrix& heads = out_head_->forward(out_linear_->forward(stacked));
-
-  out.features.resize(T);
-  for (std::size_t t = 0; t < T; ++t) {
-    slice_rows_into(heads, t * batch, (t + 1) * batch, out.features[t]);
+void DoppelGanger::stage_noise(std::size_t batch, StepBatch& s) {
+  s.za.resize(batch, config_.attr_noise_dim);
+  randn_fill(s.za, rng_);
+  s.zts.resize(spec_.max_len);
+  for (Matrix& z : s.zts) {
+    z.resize(batch, config_.feat_noise_dim);
+    randn_fill(z, rng_);
   }
 }
 
@@ -135,13 +178,14 @@ void DoppelGanger::generator_backward(
   const std::size_t A = spec_.attribute_dim();
   Matrix& g_stacked = ws_.get(T * batch, feature_grads[0].cols());
   stack_rows_into(feature_grads, g_stacked);  // [T*B, F+2]
-  const Matrix& gh = out_linear_->backward(out_head_->backward(g_stacked));
+  const Matrix& gh =
+      gen_.out_linear->backward(gen_.out_head->backward(g_stacked));
 
   ghs_.resize(T);
   for (std::size_t t = 0; t < T; ++t) {
     slice_rows_into(gh, t * batch, (t + 1) * batch, ghs_[t]);
   }
-  const std::vector<Matrix>& gxs = rnn_->backward(ghs_);
+  const std::vector<Matrix>& gxs = gen_.rnn->backward(ghs_);
 
   // Accumulate the attribute columns of every step's input gradient; same
   // element order (and rounding) as split_cols + operator+=, no temporaries.
@@ -155,7 +199,7 @@ void DoppelGanger::generator_backward(
       for (std::size_t j = 0; j < A; ++j) dst[j] += src[j];
     }
   }
-  attr_gen_->backward(attr_total);
+  gen_.attr->backward(attr_total);
 }
 
 void DoppelGanger::disc_input_into(const Matrix& attr,
@@ -230,17 +274,19 @@ void add_lipschitz_grads(const Matrix& scores, std::size_t p1_begin,
   }
 }
 
-// Builds per-pair interpolates x1, x2 between matching rows of real/fake.
+// Builds per-pair interpolates x1, x2 between matching rows of real/fake;
+// `e` holds each row's two interpolation weights (e1, e2), in draw order.
 // Out-params are resized in place (capacity reuse on repeated calls).
-void make_interpolates(const Matrix& xr, const Matrix& xf, Rng& rng,
-                       Matrix& x1, Matrix& x2, std::vector<double>& dist) {
+void make_interpolates(const Matrix& xr, const Matrix& xf,
+                       const std::vector<double>& e, Matrix& x1, Matrix& x2,
+                       std::vector<double>& dist) {
   const std::size_t batch = xr.rows();
   x1.resize(batch, xr.cols());
   x2.resize(batch, xr.cols());
   dist.assign(batch, 0.0);
   for (std::size_t i = 0; i < batch; ++i) {
-    const double e1 = rng.uniform();
-    const double e2 = rng.uniform();
+    const double e1 = e[2 * i];
+    const double e2 = e[2 * i + 1];
     double d2 = 0.0;
     for (std::size_t j = 0; j < xr.cols(); ++j) {
       const double r = xr(i, j), f = xf(i, j);
@@ -254,17 +300,14 @@ void make_interpolates(const Matrix& xr, const Matrix& xf, Rng& rng,
 }
 }  // namespace
 
-void DoppelGanger::discriminator_update(const TimeSeriesDataset& data,
-                                        Rng& rng) {
+void DoppelGanger::critic_update(const TimeSeriesDataset& data,
+                                 const StepBatch& s) {
   ws_.reset();
-  const std::size_t B = std::min(config_.batch_size, data.num_samples());
-  random_rows_into(data.num_samples(), B, rng, rows_);
-  real_batch_into(data, rows_, real_);
-  generator_forward(B, rng, fake_);
-
+  const std::size_t B = s.rows.size();
+  real_batch_into(data, s.rows, real_);
   disc_input_into(real_.attributes, real_.features, xr_);
-  disc_input_into(fake_.attributes, fake_.features, xf_);
-  make_interpolates(xr_, xf_, rng, x1_, x2_, dist_);
+  disc_input_into(s.fake.attributes, s.fake.features, xf_);
+  make_interpolates(xr_, xf_, s.interp, x1_, x2_, dist_);
 
   // One batched critic pass over [real; fake; x1; x2].
   Matrix& big = ws_.get(4 * B, xr_.cols());
@@ -295,9 +338,10 @@ void DoppelGanger::discriminator_update(const TimeSeriesDataset& data,
   disc_->backward(gs);
 
   // Auxiliary critic on attributes only.
-  make_interpolates(real_.attributes, fake_.attributes, rng, a1_, a2_, adist_);
+  make_interpolates(real_.attributes, s.fake.attributes, s.aux_interp, a1_,
+                    a2_, adist_);
   Matrix& abig = ws_.get(4 * B, real_.attributes.cols());
-  stack_rows_into({&real_.attributes, &fake_.attributes, &a1_, &a2_}, abig);
+  stack_rows_into({&real_.attributes, &s.fake.attributes, &a1_, &a2_}, abig);
   aux_disc_->zero_grad();
   const Matrix& ascores = aux_disc_->forward(abig);
   Matrix& gas = ws_.get(4 * B, 1);
@@ -319,28 +363,30 @@ void DoppelGanger::discriminator_update(const TimeSeriesDataset& data,
   d_opt_->step();
 }
 
-void DoppelGanger::discriminator_update_dp(const TimeSeriesDataset& data,
-                                           Rng& rng) {
-  // One reset for the whole update: xf_all / fake_ stay live through the
+void DoppelGanger::critic_update_dp(const TimeSeriesDataset& data,
+                                    StepBatch& s) {
+  // One reset for the whole update: xf_all / s.fake stay live through the
   // per-example loop, so the pool must not be recycled inside it (the loop
   // advances the cursors; the pool stabilizes after the first update).
   ws_.reset();
   const std::size_t B = std::min(config_.batch_size, data.num_samples());
-  random_rows_into(data.num_samples(), B, rng, rows_);
-  generator_forward(B, rng, fake_);
+  random_rows_into(data.num_samples(), B, rng_, s.rows);
+  stage_noise(B, s);
+  gen_.forward(s.za, s.zts, s.fake);
   Matrix& xf_all = ws_.get(B, spec_.attribute_dim() +
                                   spec_.max_len *
                                       (spec_.feature_dim() + kFlagDims));
-  disc_input_into(fake_.attributes, fake_.features, xf_all);
+  disc_input_into(s.fake.attributes, s.fake.features, xf_all);
 
   for (ml::Parameter* p : discriminator_params()) p->zero_grad();
   row1_.resize(1);
   for (std::size_t i = 0; i < B; ++i) {
-    row1_[0] = rows_[i];
+    row1_[0] = s.rows[i];
     real_batch_into(data, row1_, real_);
     disc_input_into(real_.attributes, real_.features, xr_);
     slice_rows_into(xf_all, i, i + 1, xf_);
-    make_interpolates(xr_, xf_, rng, x1_, x2_, dist_);
+    uniforms_into(2, rng_, dp_interp_);
+    make_interpolates(xr_, xf_, dp_interp_, x1_, x2_, dist_);
 
     Matrix& big = ws_.get(4, xr_.cols());
     stack_rows_into({&xr_, &xf_, &x1_, &x2_}, big);
@@ -352,8 +398,10 @@ void DoppelGanger::discriminator_update_dp(const TimeSeriesDataset& data,
     add_lipschitz_grads(scores, 2, 3, 1, dist_, config_.lipschitz_weight, gs);
     disc_->backward(gs);
 
-    slice_rows_into(fake_.attributes, i, i + 1, fa_row_);
-    make_interpolates(real_.attributes, fa_row_, rng, a1_, a2_, adist_);
+    slice_rows_into(s.fake.attributes, i, i + 1, fa_row_);
+    uniforms_into(2, rng_, dp_interp_);
+    make_interpolates(real_.attributes, fa_row_, dp_interp_, a1_, a2_,
+                      adist_);
     Matrix& abig = ws_.get(4, real_.attributes.cols());
     stack_rows_into({&real_.attributes, &fa_row_, &a1_, &a2_}, abig);
     const Matrix& ascores = aux_disc_->forward(abig);
@@ -367,16 +415,16 @@ void DoppelGanger::discriminator_update_dp(const TimeSeriesDataset& data,
 
     dp_agg_->accumulate_example();
   }
-  dp_agg_->finalize_batch(B, rng);
+  dp_agg_->finalize_batch(B, rng_);
   ++dp_steps_;
   d_opt_->step();
 }
 
-void DoppelGanger::generator_update(Rng& rng) {
+void DoppelGanger::generator_update(const StepBatch& s) {
   ws_.reset();
-  const std::size_t B = config_.batch_size;
-  generator_forward(B, rng, fake_);
-  disc_input_into(fake_.attributes, fake_.features, xf_);
+  const GenOutput& fake = s.fake;
+  const std::size_t B = s.za.rows();
+  disc_input_into(fake.attributes, fake.features, xf_);
 
   const Matrix& fscores = disc_->forward(xf_);
   const double inv_b = 1.0 / static_cast<double>(B);
@@ -411,7 +459,7 @@ void DoppelGanger::generator_update(Rng& rng) {
     }
   }
 
-  aux_disc_->forward(fake_.attributes);
+  aux_disc_->forward(fake.attributes);
   Matrix& gaseed = ws_.get(B, 1);
   gaseed.fill(-config_.aux_weight * inv_b);
   attr_grad += aux_disc_->backward(gaseed);
@@ -421,6 +469,85 @@ void DoppelGanger::generator_update(Rng& rng) {
   const double norm = ml::clip_grad_norm(generator_params(), config_.grad_clip);
   last_g_grad_norm_ = std::min(norm, config_.grad_clip);
   g_opt_->step();
+}
+
+void DoppelGanger::train_iteration(const TimeSeriesDataset& data,
+                                   Helpers* helpers) {
+  const std::size_t D =
+      static_cast<std::size_t>(std::max(0, config_.d_steps_per_g));
+  steps_.resize(D + 1);
+  StepBatch& g = steps_[D];
+  if (config_.dp) {
+    // DP critic steps keep their serial code (DESIGN.md §15): each draws
+    // from rng_ inside its per-example loop and its DP-SGD noise.
+    for (std::size_t k = 0; k < D; ++k) {
+      TELEM_SPAN("gan.fit.critic", {"step", static_cast<long long>(k)});
+      critic_update_dp(data, steps_[k]);
+    }
+  }
+  const std::size_t critic_forwards = config_.dp ? 0 : D;
+
+  // 1. Every draw of the iteration, in the serial loop's order: per critic
+  // step its rows, za, z_t, interpolation and aux-interpolation uniforms;
+  // then the generator step's za and z_t. No draw depends on a data value.
+  {
+    TELEM_SPAN("gan.fit.stage");
+    const std::size_t n = data.num_samples();
+    const std::size_t B = std::min(config_.batch_size, n);
+    for (std::size_t k = 0; k < critic_forwards; ++k) {
+      StepBatch& s = steps_[k];
+      random_rows_into(n, B, rng_, s.rows);
+      stage_noise(B, s);
+      uniforms_into(2 * B, rng_, s.interp);
+      uniforms_into(2 * B, rng_, s.aux_interp);
+    }
+    stage_noise(config_.batch_size, g);
+  }
+
+  // 2. Generator forwards. They read generator weights only, which no
+  // critic update changes, so they may run beside the critic updates: the
+  // critic steps' back to back on the mirror, the generator step's on gen_
+  // (which keeps its BPTT caches for the generator update).
+  Generator& critic_gen = mirror_ ? *mirror_ : gen_;
+  if (mirror_ != nullptr && critic_forwards > 0) {
+    const std::vector<ml::Parameter*> src = gen_.parameters();
+    const std::vector<ml::Parameter*> dst = mirror_->parameters();
+    for (std::size_t i = 0; i < src.size(); ++i) dst[i]->value = src[i]->value;
+  }
+  std::vector<std::future<void>> pending;
+  WaitAll wait_all{pending};
+  const auto forward = [&](std::size_t lane, std::size_t k, Generator& gen) {
+    StepBatch& s = steps_[k];
+    const auto task = [&gen, &s, k] {
+      TELEM_SPAN("gan.fit.forward", {"step", static_cast<long long>(k)});
+      gen.forward(s.za, s.zts, s.fake);
+    };
+    if (helpers == nullptr) {
+      task();
+      return;
+    }
+    lane = std::min(lane, helpers->pools.size() - 1);
+    double& cpu = helpers->cpu[lane];
+    pending.push_back(helpers->pools[lane]->submit([task, &cpu] {
+      const double cpu0 = thread_cpu_seconds();
+      task();
+      cpu += thread_cpu_seconds() - cpu0;
+      TELEM_COUNT("gan.train.helper_forwards");
+    }));
+  };
+  for (std::size_t k = 0; k < critic_forwards; ++k) forward(0, k, critic_gen);
+  forward(1, D, gen_);
+
+  // 3. On this thread: each critic update as soon as its fakes are ready,
+  // then the generator update.
+  for (std::size_t k = 0; k < critic_forwards; ++k) {
+    if (helpers != nullptr) pending[k].get();
+    TELEM_SPAN("gan.fit.critic", {"step", static_cast<long long>(k)});
+    critic_update(data, steps_[k]);
+  }
+  if (helpers != nullptr) pending.back().get();
+  TELEM_SPAN("gan.fit.generator");
+  generator_update(g);
 }
 
 void DoppelGanger::fit(const TimeSeriesDataset& data) {
@@ -436,6 +563,21 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
   }
   const double cpu0 = thread_cpu_seconds();
   Stopwatch wall;
+  // Helper lanes come out of the kernel thread budget the caller's phase
+  // set (DESIGN.md §15): none at one kernel thread, and none for DP, whose
+  // critic steps stay serial.
+  const std::size_t lanes =
+      config_.dp ? 0
+                 : std::min<std::size_t>(
+                       2, ml::kernels::effective_threads() - 1);
+  if (lanes > 0 && mirror_ == nullptr && iterations > 0) {
+    Rng unused(0);  // every mirror weight is copied from gen_ before use
+    mirror_ = std::make_unique<Generator>(spec_, config_, unused);
+  }
+  // Started after the first iteration, which runs inline so that every
+  // buffer it sizes is allocated on this thread (a helper's first
+  // allocations would open a malloc arena of its own). Joined on return.
+  std::optional<Helpers> helpers;
   const ml::health::HealthConfig& hc = config_.health;
   const bool guarded = hc.enabled && iterations > 0;
   if (guarded) {
@@ -453,15 +595,9 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
   int attempt = 0;
   int it = 0;
   while (it < iterations) {
-    for (int d = 0; d < config_.d_steps_per_g; ++d) {
-      if (config_.dp) {
-        discriminator_update_dp(data, rng_);
-      } else {
-        discriminator_update(data, rng_);
-      }
-    }
-    generator_update(rng_);
+    train_iteration(data, helpers ? &*helpers : nullptr);
     ++it;
+    if (lanes > 0 && !helpers && it < iterations) helpers.emplace(lanes);
     TELEM_COUNT("gan.train.iterations");
     if (!guarded) continue;
     monitor_->maybe_inject(it);
@@ -488,6 +624,7 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
       // perturb the recovery — fresh Adam moments (the old ones are
       // poisoned by the bad gradients), a backed-off learning rate, and a
       // reseeded noise stream so the retry takes a different trajectory.
+      // The mirror needs no re-sync: it copies gen_ every iteration.
       it = static_cast<int>(monitor_->rollback());
       g_opt_->reset_state();
       d_opt_->reset_state();
@@ -504,6 +641,9 @@ void DoppelGanger::fit(const TimeSeriesDataset& data, int iterations) {
     if (secs > 0.0) TELEM_GAUGE_SET("gan.train.iters_per_sec", iterations / secs);
   }
   train_cpu_seconds_ += thread_cpu_seconds() - cpu0;
+  if (helpers) {
+    for (const double c : helpers->cpu) train_cpu_seconds_ += c;
+  }
 }
 
 GeneratedSeries DoppelGanger::sample(std::size_t n, Rng& rng) {
@@ -538,7 +678,7 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
   const std::size_t T = spec_.max_len;
   const std::size_t F = spec_.feature_dim();
   const std::size_t A = spec_.attribute_dim();
-  const std::size_t H = rnn_->hidden_dim();
+  const std::size_t H = gen_.rnn->hidden_dim();
   const std::size_t Z = config_.feat_noise_dim;
   out.spec = spec_;
   out.attributes.resize(n, A);
@@ -554,7 +694,7 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
     const std::size_t b = std::min(config_.batch_size, n - done);
     ws_.reset();
     Matrix& za = stage_attr_noise(b, stream_seed, first_series + done);
-    const Matrix& attr = attr_gen_->forward(za);
+    const Matrix& attr = gen_.attr->forward(za);
     for (std::size_t i = 0; i < b; ++i) {
       const double* asrc = attr.row_ptr(i);
       std::copy(asrc, asrc + A, out.attributes.row_ptr(done + i));
@@ -579,7 +719,7 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
       // Live sub-batch size: how much the length-adaptive compaction shrinks
       // the step's work relative to the full unroll's constant b rows.
       TELEM_GAUGE_SET("gan.sample.live_rows", m);
-      // Gather [z_t | attr] rows, matching generator_tail's concat layout.
+      // Gather [z_t | attr] rows, matching Generator::forward's concat layout.
       // z_t is drawn lazily, only for series still alive at this step: each
       // series' stream is private and its draw order fixed, so skipping the
       // dead series' later draws never changes the values live series see.
@@ -591,8 +731,9 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
         const double* asrc = samp_attr_.row_ptr(j);
         std::copy(asrc, asrc + A, xrow + Z);
       }
-      rnn_->step_into(samp_x_, samp_h_, samp_h_next_);
-      const Matrix& y = out_head_->forward(out_linear_->forward(samp_h_next_));
+      gen_.rnn->step_into(samp_x_, samp_h_, samp_h_next_);
+      const Matrix& y =
+          gen_.out_head->forward(gen_.out_linear->forward(samp_h_next_));
 
       // Shape the compacted buffers before filling them (samp_h_'s h_{t-1}
       // contents were consumed by step_into above).
@@ -666,7 +807,7 @@ void DoppelGanger::sample_reference_into(std::size_t n,
         }
       }
     }
-    generator_tail(za, fake_);
+    gen_.forward(za, zts_, fake_);
     const GenOutput& gen = fake_;
     for (std::size_t i = 0; i < b; ++i) {
       const std::size_t row = done + i;

@@ -56,7 +56,10 @@ class DoppelGanger {
   DoppelGanger(TimeSeriesSpec spec, DgConfig config, std::uint64_t seed);
 
   // Trains (or, when called on a restored model, fine-tunes) for
-  // config.iterations on `data`.
+  // config.iterations on `data`. Above one kernel thread, each iteration's
+  // generator forwards run on up to two helper threads taken from the
+  // kernel thread budget (DESIGN.md §15); the result is bitwise the same
+  // at any thread count.
   void fit(const TimeSeriesDataset& data);
   // Same, with an explicit iteration count (fine-tuning uses fewer).
   void fit(const TimeSeriesDataset& data, int iterations);
@@ -83,8 +86,8 @@ class DoppelGanger {
                    std::size_t first_series, GeneratedSeries& out);
 
   // Reference sampler: the training-path full unroll (every series runs all
-  // max_len steps through generator_tail, then lengths are read off the
-  // alive flags). Bitwise identical to sample_into — steps at or past a
+  // max_len steps through Generator::forward, then lengths are read off
+  // the alive flags). Bitwise identical to sample_into — steps at or past a
   // series' length were computed and discarded here, skipped there — and
   // kept as the oracle for tests and the serial baseline for
   // bench/pipeline_e2e. Same stream/zero-allocation contract as
@@ -96,7 +99,8 @@ class DoppelGanger {
   std::vector<double> snapshot();
   void restore(const std::vector<double>& snapshot);
 
-  // Cumulative CPU-seconds spent inside fit() (Fig. 4's scalability axis).
+  // Cumulative CPU-seconds spent inside fit() (Fig. 4's scalability axis):
+  // the calling thread's plus every helper task's thread CPU.
   double train_cpu_seconds() const { return train_cpu_seconds_; }
   // Number of DP-SGD steps taken so far (for the accountant).
   std::size_t dp_steps() const { return dp_steps_; }
@@ -116,14 +120,40 @@ class DoppelGanger {
     std::vector<ml::Matrix> features;  // T of B x (F+2), incl. gen flags
   };
 
-  // Forward pass of the generator with caches retained for backward; writes
-  // into `out` (a persistent member) so steady-state calls reuse capacity.
-  void generator_forward(std::size_t batch, Rng& rng, GenOutput& out);
-  // Noise-independent tail of the generator forward pass (attribute MLP,
-  // per-step concat, GRU unroll, MixedHead): consumes `za` and the per-step
-  // noise already staged in zts_. Shared by training (one rng draws all
-  // noise) and sampling (per-series counter streams fill the same buffers).
-  void generator_tail(const ml::Matrix& za, GenOutput& out);
+  // The four generator modules plus the buffers one forward pass through
+  // them needs. The trained generator is one; when fit() has helper
+  // threads, a forward-only mirror holding a copy of its weights runs the
+  // critic steps' forwards (DESIGN.md §15).
+  struct Generator {
+    Generator(const TimeSeriesSpec& spec, const DgConfig& config, Rng& rng);
+    std::vector<ml::Parameter*> parameters();
+    // Attribute MLP, per-step concat, GRU unroll, MixedHead: consumes `za`
+    // and the per-step noise `zts`, keeps the caches backward needs, and
+    // writes into `out` (persistent buffers, so steady-state calls reuse
+    // capacity). Shared by training and the reference sampler.
+    void forward(const ml::Matrix& za, const std::vector<ml::Matrix>& zts,
+                 GenOutput& out);
+
+    std::unique_ptr<ml::Mlp> attr;
+    std::unique_ptr<ml::Gru> rnn;
+    std::unique_ptr<ml::Linear> out_linear;
+    std::unique_ptr<ml::MixedHead> out_head;
+    ml::Workspace ws;             // reset by every forward()
+    std::vector<ml::Matrix> xs;   // RNN inputs [z_t | attr]
+  };
+
+  // Everything one critic or generator step draws from rng_, staged before
+  // any of the iteration's forwards run, plus the fakes its forward makes.
+  struct StepBatch {
+    std::vector<std::size_t> rows;           // critic: real minibatch rows
+    ml::Matrix za;                           // attribute noise
+    std::vector<ml::Matrix> zts;             // per-step feature noise
+    std::vector<double> interp, aux_interp;  // critic: (e1, e2) per row
+    GenOutput fake;
+  };
+
+  struct Helpers;  // one fit() call's helper threads (doppelganger.cpp)
+
   // Builds one batch of per-series counter-based noise streams
   // (samp_noise_), fills za (a ws_ cursor) with each series' attribute
   // noise, and returns za. Draw order per series is fixed — attribute
@@ -147,9 +177,15 @@ class DoppelGanger {
                        const std::vector<std::size_t>& rows,
                        GenOutput& out) const;
 
-  void discriminator_update(const TimeSeriesDataset& data, Rng& rng);
-  void discriminator_update_dp(const TimeSeriesDataset& data, Rng& rng);
-  void generator_update(Rng& rng);
+  // One training iteration (DESIGN.md §15): stage every draw, run the
+  // generator forwards (on `helpers` when given, else inline), apply the
+  // critic updates as their fakes become ready, then the generator update.
+  void train_iteration(const TimeSeriesDataset& data, Helpers* helpers);
+  // Draws za then every z_t for a batch of `batch` rows.
+  void stage_noise(std::size_t batch, StepBatch& s);
+  void critic_update(const TimeSeriesDataset& data, const StepBatch& s);
+  void critic_update_dp(const TimeSeriesDataset& data, StepBatch& s);
+  void generator_update(const StepBatch& s);
 
   std::size_t flag_offset() const;  // column of the alive flag within a step
 
@@ -158,10 +194,11 @@ class DoppelGanger {
   std::uint64_t seed_;  // construction seed; fault injection filters on it
   Rng rng_;
 
-  std::unique_ptr<ml::Mlp> attr_gen_;
-  std::unique_ptr<ml::Gru> rnn_;
-  std::unique_ptr<ml::Linear> out_linear_;
-  std::unique_ptr<ml::MixedHead> out_head_;
+  Generator gen_;
+  // Forward-only copy of gen_'s weights for the critic steps' forwards on a
+  // helper thread; built by the first fit() that has helpers and kept with
+  // the model, so a later fit() allocates nothing (DESIGN.md §6, §15).
+  std::unique_ptr<Generator> mirror_;
   std::unique_ptr<ml::Mlp> disc_;
   std::unique_ptr<ml::Mlp> aux_disc_;
 
@@ -174,14 +211,14 @@ class DoppelGanger {
   // (core/train.cpp) never shares buffers across threads.
   ml::Workspace ws_;
   // Persistent batch buffers reused across iterations.
-  GenOutput real_, fake_;
-  std::vector<ml::Matrix> zts_;     // per-step generator noise z_t
-  std::vector<ml::Matrix> xs_;      // generator RNN inputs [z_t | attr]
+  std::vector<StepBatch> steps_;    // d_steps_per_g critic steps, then G
+  GenOutput real_, fake_;           // fake_: reference-sampler output
+  std::vector<ml::Matrix> zts_;     // reference-sampler noise z_t
   std::vector<ml::Matrix> ghs_;     // per-step hidden-state gradients
   std::vector<ml::Matrix> fgrads_;  // per-step feature gradients
   ml::Matrix xr_, xf_, x1_, x2_, a1_, a2_, fa_row_;
-  std::vector<double> dist_, adist_;
-  std::vector<std::size_t> rows_, row1_;
+  std::vector<double> dist_, adist_, dp_interp_;
+  std::vector<std::size_t> row1_;
   // Length-adaptive sampling state (sample_into): compacting double buffers
   // for the live sub-batch's hidden state and attribute rows, the per-step
   // RNN input, and the surviving series' original batch indices.

@@ -15,6 +15,9 @@ namespace {
 
 constexpr std::uint32_t kPcapMagic = 0xa1b2c3d4;  // microsecond timestamps
 constexpr std::uint32_t kLinktypeRaw = 101;       // raw IPv4/IPv6
+constexpr std::uint64_t kGlobalHeaderBytes = 24;
+constexpr std::uint64_t kRecordHeaderBytes = 16;
+constexpr std::uint32_t kMaxIpv4PacketBytes = 65535;  // total_length is u16
 
 // pcap is host-endian by convention; we fix little-endian on the wire for
 // portability of generated files.
@@ -111,29 +114,43 @@ void write_pcap_file(const PacketTrace& trace, const std::string& path,
 
 PacketTrace read_pcap(std::istream& in) {
   if (get_le32(in) != kPcapMagic) {
-    throw std::runtime_error("read_pcap: bad magic (expect LE microsecond pcap)");
+    throw ParseError("read_pcap: bad magic (expect LE microsecond pcap)", 0);
   }
   in.ignore(2 + 2 + 4 + 4);  // version, thiszone, sigfigs
-  (void)get_le32(in);        // snaplen
+  const std::uint32_t snaplen = get_le32(in);
   const std::uint32_t linktype = get_le32(in);
+  if (!in) throw ParseError("read_pcap: truncated global header", 0);
   if (linktype != kLinktypeRaw) {
-    throw std::runtime_error("read_pcap: unsupported linktype");
+    throw ParseError("read_pcap: unsupported linktype", 20);
   }
+  const std::uint32_t max_caplen = std::min(snaplen, kMaxIpv4PacketBytes);
 
   PacketTrace trace;
-  for (;;) {
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t at = kGlobalHeaderBytes;  // offset of the current record
+  for (;; at += kRecordHeaderBytes + bytes.size()) {
     const std::uint32_t sec = get_le32(in);
     if (!in) break;  // clean EOF
     const std::uint32_t usec = get_le32(in);
     const std::uint32_t caplen = get_le32(in);
     const std::uint32_t wirelen = get_le32(in);
-    if (!in) throw std::runtime_error("read_pcap: truncated record header");
+    if (!in) throw ParseError("read_pcap: truncated record header", at);
+    if (caplen > max_caplen) {
+      throw ParseError("read_pcap: record caplen " + std::to_string(caplen) +
+                           " exceeds limit " + std::to_string(max_caplen),
+                       at);
+    }
 
-    std::vector<std::uint8_t> bytes(caplen);
+    bytes.resize(caplen);
     in.read(reinterpret_cast<char*>(bytes.data()), caplen);
-    if (!in) throw std::runtime_error("read_pcap: truncated record body");
+    if (!in) throw ParseError("read_pcap: truncated record body", at);
 
-    Ipv4Header ip = Ipv4Header::parse(bytes.data(), bytes.size());
+    Ipv4Header ip;
+    try {
+      ip = Ipv4Header::parse(bytes.data(), bytes.size());
+    } catch (const std::invalid_argument& e) {
+      throw ParseError(std::string("read_pcap: ") + e.what(), at);
+    }
     PacketRecord rec;
     rec.timestamp = static_cast<double>(sec) + static_cast<double>(usec) * 1e-6;
     rec.size = std::max(wirelen, static_cast<std::uint32_t>(ip.total_length));

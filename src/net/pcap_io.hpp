@@ -5,7 +5,9 @@
 // valid RFC 1071 checksums, so tools like tcpdump can consume them.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 #include "net/trace.hpp"
@@ -20,8 +22,23 @@ void write_pcap(const PacketTrace& trace, std::ostream& out,
 void write_pcap_file(const PacketTrace& trace, const std::string& path,
                      std::uint32_t snaplen = 96);
 
+// Malformed pcap input. offset() is the byte offset, from the start of the
+// stream, of the header field or packet record that was rejected.
+class ParseError : public std::runtime_error {
+ public:
+  ParseError(const std::string& what, std::uint64_t offset)
+      : std::runtime_error(what + " (at byte " + std::to_string(offset) + ")"),
+        offset_(offset) {}
+  std::uint64_t offset() const { return offset_; }
+
+ private:
+  std::uint64_t offset_;
+};
+
 // Reads a pcap file produced by write_pcap (LINKTYPE_RAW, microsecond
-// timestamps). Throws std::runtime_error on malformed input.
+// timestamps). Throws ParseError on malformed input, before allocating
+// anything a record header asks for: a record's captured length must not
+// exceed the file's snaplen or 65535, the largest IPv4 packet.
 PacketTrace read_pcap(std::istream& in);
 PacketTrace read_pcap_file(const std::string& path);
 

@@ -12,11 +12,13 @@
 
 #include <unistd.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -139,6 +141,32 @@ struct SocketHarness : ServiceHarness {
   }
   std::string path;
   std::unique_ptr<serve::SocketServer> server;
+};
+
+// A worker_hook gate: blocks the first sampling call until release(), so
+// tests hold a batch stuck at a point they control.
+struct WorkerGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+
+  void hook(std::size_t /*chunk*/, std::size_t /*job*/) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (released) return;
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  }
+  void await_entered() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  }
 };
 
 }  // namespace netshare::serve_test

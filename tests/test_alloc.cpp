@@ -14,6 +14,7 @@
 #include "ml/matrix.hpp"
 #include "ml/mlp.hpp"
 #include "ml/workspace.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace netshare::ml {
 namespace {
@@ -116,6 +117,13 @@ gan::TimeSeriesDataset tiny_data(std::size_t n) {
   return data;
 }
 
+std::uint64_t helper_forwards() {
+  for (const auto& [name, value] : telemetry::snapshot_metrics().counters) {
+    if (name == "gan.train.helper_forwards") return value;
+  }
+  return 0;
+}
+
 void expect_zero_steady_state_allocs(std::size_t kernel_threads) {
   kernels::KernelConfig cfg;
   cfg.threads = kernel_threads;
@@ -132,11 +140,17 @@ void expect_zero_steady_state_allocs(std::size_t kernel_threads) {
   gan::DoppelGanger model(tiny_spec(), dg, 4321);
   const gan::TimeSeriesDataset data = tiny_data(64);
   model.fit(data, 1);  // warm-up iteration populates pools and caches
+  const std::uint64_t helper_forwards_before = helper_forwards();
   alloc_counter::reset();
   model.fit(data, 2);  // iterations 2-3: the steady state
   EXPECT_EQ(alloc_counter::count(), 0u)
       << "DoppelGanger training allocated Matrix storage in steady state at "
       << kernel_threads << " kernel thread(s)";
+  // Above one kernel thread, fit() runs the generator forwards of its
+  // second iteration on helper threads: the steady state covers them.
+  if (kernel_threads > 1 && telemetry::kCompiledIn && telemetry::enabled()) {
+    EXPECT_GT(helper_forwards(), helper_forwards_before);
+  }
 }
 
 TEST(DoppelGanger, SteadyStateTrainingAllocatesNothingSerial) {

@@ -1,10 +1,16 @@
 // Tests for the DoppelGANger time-series GAN: shape contracts, determinism,
-// snapshot/restore, and end-to-end learning on a small synthetic dataset.
+// snapshot/restore, end-to-end learning on a small synthetic dataset, and
+// the training-step schedule (helper-thread forwards are bitwise inline).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "gan/doppelganger.hpp"
+#include "ml/health.hpp"
+#include "ml/kernels.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace netshare::gan {
 namespace {
@@ -196,6 +202,100 @@ TEST(DoppelGanger, DpModeRunsAndCountsSteps) {
   Rng rng(23);
   const GeneratedSeries s = gan.sample(4, rng);
   EXPECT_EQ(s.attributes.rows(), 4u);
+}
+
+// Generator forwards run on helper threads so far in this process (0 when
+// telemetry is compiled out or disabled).
+std::uint64_t helper_forwards() {
+  for (const auto& [name, value] : telemetry::snapshot_metrics().counters) {
+    if (name == "gan.train.helper_forwards") return value;
+  }
+  return 0;
+}
+
+struct FitResult {
+  std::vector<double> snapshot;
+  double cpu_seconds = 0.0;
+  int rollbacks = 0;
+};
+
+// Fits a fresh model at `kernel_threads`: 1 runs the schedule inline, 4
+// gives fit() two helper threads.
+FitResult fit_at(std::size_t kernel_threads, const DgConfig& cfg,
+                 const TimeSeriesDataset& data, int iterations) {
+  ml::kernels::KernelConfig kc;
+  kc.threads = kernel_threads;
+  ml::kernels::ConfigOverride guard(kc);
+  DoppelGanger gan(toy_spec(), cfg, 31);
+  gan.fit(data, iterations);
+  return {gan.snapshot(), gan.train_cpu_seconds(),
+          gan.health_stats().rollbacks};
+}
+
+void expect_same_bytes(const std::vector<double>& a,
+                       const std::vector<double>& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << what << ": helper-thread training diverged from inline training";
+}
+
+TEST(DoppelGangerSchedule, HelpersMatchInlineBitwise) {
+  // 96 samples take the full batch; 10 samples take the min(batch_size, n)
+  // critic batch while the generator step stays at batch_size.
+  for (const std::size_t n : {std::size_t{96}, std::size_t{10}}) {
+    const TimeSeriesDataset data = toy_data(n, 30);
+    for (const int d : {1, 2, 3}) {
+      DgConfig cfg = small_config();
+      cfg.d_steps_per_g = d;
+      const std::string what =
+          "n=" + std::to_string(n) + " d_steps_per_g=" + std::to_string(d);
+      const std::uint64_t before = helper_forwards();
+      const FitResult serial = fit_at(1, cfg, data, 12);
+      EXPECT_EQ(helper_forwards(), before)
+          << what << ": one kernel thread must train inline";
+      const FitResult helped = fit_at(4, cfg, data, 12);
+      if (telemetry::kCompiledIn && telemetry::enabled()) {
+        EXPECT_GT(helper_forwards(), before) << what << ": helpers unused";
+      }
+      expect_same_bytes(serial.snapshot, helped.snapshot, what);
+    }
+  }
+}
+
+TEST(DoppelGangerSchedule, RollbackResyncsTheMirror) {
+  // A NaN injected after step 7 is caught by the step-10 check and rolled
+  // back to the step-5 checkpoint. The mirror then held NaN weights; unless
+  // it is re-synced from the restored generator, the helpers' critic
+  // forwards would differ from the inline run's.
+  DgConfig cfg = small_config();
+  cfg.health.check_every = 5;
+  cfg.health.checkpoint_every = 5;
+  ml::health::FaultPlan plan;
+  plan.nan_at_step = 7;
+  const TimeSeriesDataset data = toy_data(96, 32);
+  FitResult serial, helped;
+  {
+    ml::health::ScopedFaultPlan arm(plan);
+    serial = fit_at(1, cfg, data, 20);
+  }
+  {
+    ml::health::ScopedFaultPlan arm(plan);
+    helped = fit_at(4, cfg, data, 20);
+  }
+  EXPECT_EQ(serial.rollbacks, 1);
+  EXPECT_EQ(helped.rollbacks, 1);
+  expect_same_bytes(serial.snapshot, helped.snapshot, "rollback at step 10");
+}
+
+TEST(DoppelGangerSchedule, CpuSecondsIncludeHelperTasks) {
+  // The forwards moved to helper threads still count toward
+  // train_cpu_seconds() (Fig. 4's cost axis).
+  const TimeSeriesDataset data = toy_data(96, 33);
+  const FitResult serial = fit_at(1, small_config(), data, 60);
+  const FitResult helped = fit_at(4, small_config(), data, 60);
+  EXPECT_GE(helped.cpu_seconds, 0.75 * serial.cpu_seconds)
+      << "inline " << serial.cpu_seconds << " s vs helpers "
+      << helped.cpu_seconds << " s";
 }
 
 }  // namespace

@@ -233,6 +233,75 @@ TEST(PcapIo, RejectsBadMagic) {
   EXPECT_THROW(read_pcap(ss), std::runtime_error);
 }
 
+// Little-endian u32 spliced into a pcap image at byte `at`.
+void poke_le32(std::string& img, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    img[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Reads `img` expecting a ParseError at byte `offset` whose message
+// contains `cause`.
+void expect_parse_error_at(const std::string& img, std::uint64_t offset,
+                           const std::string& cause) {
+  std::stringstream ss(img);
+  try {
+    read_pcap(ss);
+    ADD_FAILURE() << "read_pcap accepted a malformed image";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.offset(), offset) << e.what();
+    EXPECT_NE(std::string(e.what()).find(cause), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PcapIo, RejectsOversizedCaplenBeforeAllocating) {
+  PacketTrace t = tiny_trace();
+  t.sort_by_time();
+  std::stringstream ss;
+  write_pcap(t, ss, /*snaplen=*/96);
+  const std::string good = ss.str();
+  constexpr std::size_t kFirst = 24;  // first record, after the global header
+  const std::size_t second = kFirst + 16 + (good[kFirst + 8] & 0xff);
+
+  // A 16-byte record header asking for 4 GiB is rejected from the header
+  // alone, with the offending record's offset.
+  std::string huge = good.substr(0, kFirst + 16);
+  poke_le32(huge, kFirst + 8, 0xffffffffu);
+  expect_parse_error_at(huge, kFirst, "exceeds limit 96");
+
+  // Above the file's snaplen but below 65535: still rejected.
+  std::string over_snap = good;
+  poke_le32(over_snap, second + 8, 97);
+  expect_parse_error_at(over_snap, second, "exceeds limit 96");
+
+  // A snaplen above 65535 does not lift the IPv4 bound.
+  std::string big_snap = good.substr(0, kFirst + 16);
+  poke_le32(big_snap, 16, 262144);
+  poke_le32(big_snap, kFirst + 8, 65536);
+  expect_parse_error_at(big_snap, kFirst, "exceeds limit 65535");
+}
+
+TEST(PcapIo, TruncatedAndShortRecordsCarryTheirOffset) {
+  PacketTrace t = tiny_trace();
+  t.sort_by_time();
+  std::stringstream ss;
+  write_pcap(t, ss);
+  const std::string good = ss.str();
+  constexpr std::size_t kFirst = 24;
+  const std::size_t second = kFirst + 16 + (good[kFirst + 8] & 0xff);
+
+  expect_parse_error_at(good.substr(0, second + 10), second, "header");
+  expect_parse_error_at(good.substr(0, second + 20), second, "body");
+
+  // A record too short to hold an IPv4 header.
+  std::string shrunk = good.substr(0, kFirst + 16 + 4);
+  poke_le32(shrunk, kFirst + 8, 4);
+  expect_parse_error_at(shrunk, kFirst, "short buffer");
+
+  expect_parse_error_at(good.substr(0, 12), 0, "global header");
+}
+
 TEST(NetflowIo, CsvRoundTrip) {
   FlowTrace t;
   FlowRecord r;

@@ -46,32 +46,6 @@ bool eventually(Pred pred) {
   return pred();
 }
 
-// A worker_hook gate: blocks the first sampling call until release(), so
-// tests hold a batch stuck at a point they control.
-struct WorkerGate {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool entered = false;
-  bool released = false;
-
-  void hook(std::size_t /*chunk*/, std::size_t /*job*/) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (released) return;
-    entered = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return released; });
-  }
-  void await_entered() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return entered; });
-  }
-  void release() {
-    std::lock_guard<std::mutex> lock(mu);
-    released = true;
-    cv.notify_all();
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Token buckets and the tenant rate limiter (pure state, explicit clock).
 // ---------------------------------------------------------------------------

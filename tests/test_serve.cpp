@@ -15,7 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "ml/serialize.hpp"
+#include "serve/chaos.hpp"
 #include "serve/protocol.hpp"
 #include "serve_test_util.hpp"
 
@@ -641,17 +643,28 @@ TEST(ServeService, OverloadShedsWithTypedReplyAndCountsIt) {
 }
 
 TEST(ServeService, PerTenantInflightCapShedsOnlyTheNoisyTenant) {
+  // The manual clock keeps the held batch from ever looking stuck to the
+  // watchdog.
+  ScopedManualClock mc;
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.max_coalesce = 1;
   cfg.tenant_inflight_cap = 2;
+  WorkerGate gate;
+  ChaosPlan plan;
+  plan.worker_hook = [&](std::size_t c, std::size_t j) { gate.hook(c, j); };
+  ScopedChaosPlan chaos(plan);
   ServiceHarness h(cfg);
+  // a1 is held inside the worker until every submit below has been
+  // admitted, so the noisy tenant has exactly two jobs in flight.
   auto a1 = h.client->submit("m", "noisy", 150, 1);
+  gate.await_entered();
   auto a2 = h.client->submit("m", "noisy", 30, 2);
   const ClientResult shed = h.client->generate("m", "noisy", 30, 3);
   EXPECT_FALSE(shed.ok);
   EXPECT_EQ(shed.code, ErrorCode::kOverloaded);
   auto b1 = h.client->submit("m", "quiet", 30, 4);  // other tenants unharmed
+  gate.release();
   EXPECT_TRUE(a1->wait().ok);
   EXPECT_TRUE(a2->wait().ok);
   EXPECT_TRUE(b1->wait().ok);
@@ -665,9 +678,14 @@ TEST(ServeService, PerTenantInflightCapShedsOnlyTheNoisyTenant) {
 TEST(ServeService, DrrInterleavesTenantsInsteadOfFifoWithinOne) {
   // With per-job batches and one worker, DRR must alternate the two tenants
   // once both have queued work — not empty tenant A's backlog first.
+  ScopedManualClock mc;  // the held batch never looks stuck to the watchdog
   ServiceConfig cfg;
   cfg.workers = 1;
   cfg.max_coalesce = 1;
+  WorkerGate gate;
+  ChaosPlan plan;
+  plan.worker_hook = [&](std::size_t c, std::size_t j) { gate.hook(c, j); };
+  ScopedChaosPlan chaos(plan);
   ServiceHarness h(cfg);
   std::mutex order_mu;
   std::vector<std::string> order;
@@ -683,17 +701,22 @@ TEST(ServeService, DrrInterleavesTenantsInsteadOfFifoWithinOne) {
         h.service->submit(GenerateJob{"m", tenant, n, seed}, std::move(cbs));
     ASSERT_TRUE(sr.accepted) << sr.message;
   };
-  // The first job pins the worker long enough for the backlog to form.
+  // The lead job is held inside the worker until the whole backlog has
+  // queued behind it.
   tracked("A", 250, 1);
+  gate.await_entered();
   tracked("A", 20, 2);
   tracked("A", 20, 3);
   tracked("B", 20, 4);
   tracked("B", 20, 5);
+  gate.release();
   h.service->drain();
   ASSERT_EQ(order.size(), 5u);
   EXPECT_EQ(order[0], "A");
-  // After the lead, visits alternate: B (rr cursor moved past A), A, B, A.
-  const std::vector<std::string> want = {"A", "B", "A", "B", "A"};
+  // After the lead, visits alternate A, B, A, B: the lead was dispatched
+  // while A was the only tenant, so the rr cursor wrapped back to A. FIFO
+  // would give A, A, A, B, B.
+  const std::vector<std::string> want = {"A", "A", "B", "A", "B"};
   EXPECT_EQ(order, want)
       << "DRR should interleave tenants, not drain one backlog first";
 }
