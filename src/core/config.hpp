@@ -67,18 +67,6 @@ struct NetShareConfig {
   // where it died. Invalid/corrupt checkpoints are diagnosed and retrained.
   std::string checkpoint_dir;
 
-  // --- streaming dataflow (DESIGN.md §11) ---
-  // NetShare::fit_generate_* with streaming=true runs the chunk-granular
-  // stage graph (core/stream.hpp): chunk k generates while chunk k+1 still
-  // trains, under the same `threads` budget, with at most stream_max_in_flight
-  // chunks' buffers alive at once. Output is bitwise identical to the batch
-  // path at any worker count; streaming=false keeps the batch pipeline as
-  // the oracle.
-  bool streaming = false;
-  std::size_t stream_workers = 0;         // stage-task workers; 0 -> threads
-  std::size_t stream_max_in_flight = 2;   // admitted-chunk bound (memory)
-  std::size_t stream_queue_capacity = 1;  // per-stage handoff queue bound
-
   std::uint64_t seed = 42;
 };
 

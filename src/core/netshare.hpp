@@ -14,7 +14,6 @@
 
 #include "core/config.hpp"
 #include "core/preprocess.hpp"
-#include "core/stream.hpp"
 #include "core/train.hpp"
 
 namespace netshare::core {
@@ -40,7 +39,9 @@ std::shared_ptr<embed::Ip2Vec> make_public_ip2vec_for(
 // independent of batching, of job interleaving, and of worker/kernel thread
 // counts.
 
-// Per-chunk record targets proportional to the real chunk sizes (sums to ~n).
+// Per-chunk record targets proportional to the real chunk sizes, apportioned
+// by largest remainder so they sum to exactly n (all zero when no chunk has
+// real records).
 std::vector<std::size_t> chunk_record_targets(
     const std::vector<ChunkInfo>& chunks, std::size_t n);
 
@@ -75,20 +76,6 @@ class NetShare {
   void fit(const net::PacketTrace& trace);
   void fit(const std::vector<net::PacketTrace>& epochs);
   net::PacketTrace generate_packets(std::size_t n, Rng& rng);
-
-  // --- streaming end-to-end (DESIGN.md §11) ---
-  // One-shot fit + generate. With config.streaming set, runs the
-  // chunk-granular stage graph (core/stream.hpp) so chunk k generates while
-  // chunk k+1 still trains; bitwise identical to fit() + generate_*() at
-  // any stream_workers count. With streaming unset this IS the batch path
-  // (the oracle the streaming output is tested against). `stats`, when
-  // non-null, receives the stream run's overlap/backpressure numbers
-  // (zeroed on the batch path).
-  net::FlowTrace fit_generate_flows(const net::FlowTrace& trace, std::size_t n,
-                                    Rng& rng, StreamStats* stats = nullptr);
-  net::PacketTrace fit_generate_packets(const net::PacketTrace& trace,
-                                        std::size_t n, Rng& rng,
-                                        StreamStats* stats = nullptr);
 
   // Total training cost in thread-CPU seconds (Fig. 4).
   double train_cpu_seconds() const;

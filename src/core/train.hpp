@@ -35,8 +35,8 @@ struct ChunkTrainReport {
   bool is_seed = false;  // this chunk trained the seed model
   int attempts = 0;      // training attempts (1 + in-fit rollback retries)
   int rollbacks = 0;     // health-guard rollback-and-retry recoveries
-  // Per-chunk stage wall-clock: chunks complete out of lockstep under the
-  // streaming pipeline, so aggregate stage seconds no longer tell the story.
+  // Per-chunk stage wall-clock: fine-tune chunks train side by side and
+  // generate in parallel, so aggregate stage seconds hide the slow chunk.
   double train_sec = 0.0;     // train_seed / train_finetune (incl. resume)
   double generate_sec = 0.0;  // sampling + decode, via note_generate_seconds
   std::string error;          // failure detail when status == kSeedFallback
@@ -69,21 +69,21 @@ class ChunkedTrainer {
   // and valid checkpoints found on entry are resumed instead of retrained.
   void fit(const std::vector<gan::TimeSeriesDataset>& chunks);
 
-  // --- chunk-granular API (streaming dataflow, DESIGN.md §11) ---
-  // fit() is exactly these calls composed, so the batch and streaming paths
-  // share one training code path and stay bitwise identical by construction.
+  // --- chunk-granular API ---
+  // fit() is exactly these calls composed; the model registry (src/serve)
+  // calls begin_fit to size a sampling-only trainer before restore_chunk.
   //
   // begin_fit validates the per-chunk sample counts, sizes the run, picks
   // the seed chunk, and prepares the checkpoint directory. train_seed must
-  // complete before any train_finetune (the stream graph encodes this as a
-  // train(c) -> train(seed) edge); train_finetune is safe to call
-  // concurrently for distinct chunks (disjoint models_/report_ slots).
+  // complete before any train_finetune (fine-tunes warm-start from the seed
+  // snapshot); train_finetune is safe to call concurrently for distinct
+  // chunks (disjoint models_/report_ slots).
   void begin_fit(const std::vector<std::size_t>& chunk_samples);
-  std::size_t seed_chunk() const { return seed_chunk_; }
   void train_seed(const gan::TimeSeriesDataset& data);
   void train_finetune(std::size_t c, const gan::TimeSeriesDataset& data);
-  // Records chunk c's generate-stage wall seconds in report(). Safe for
-  // concurrent distinct chunks.
+  // Records chunk c's generate-stage wall seconds in report(); the
+  // generation path calls it once per sampled chunk. Safe for concurrent
+  // distinct chunks.
   void note_generate_seconds(std::size_t c, double sec);
 
   // --- serving path (DESIGN.md §13) ---

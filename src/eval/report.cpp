@@ -57,8 +57,8 @@ void print_banner(std::ostream& out, const std::string& title) {
 
 void print_train_report(std::ostream& out, const core::TrainReport& report) {
   print_banner(out, "Training report");
-  // Per-chunk stage timings: chunks complete out of lockstep under the
-  // streaming pipeline, so aggregate stage seconds alone hide the overlap.
+  // Per-chunk stage timings: fine-tune chunks run side by side, so aggregate
+  // stage seconds alone hide which chunk was slow.
   TextTable table({"chunk", "role", "status", "attempts", "rollbacks",
                    "train_s", "gen_s", "detail"});
   for (std::size_t c = 0; c < report.chunks.size(); ++c) {

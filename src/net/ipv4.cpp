@@ -90,6 +90,15 @@ Ipv4Header Ipv4Header::parse(const std::uint8_t* data, std::size_t len) {
   h.version = data[0] >> 4;
   h.ihl = data[0] & 0x0f;
   if (h.version != 4) throw std::invalid_argument("Ipv4Header::parse: not IPv4");
+  if (h.ihl < 5) {
+    throw std::invalid_argument("Ipv4Header::parse: IHL " +
+                                std::to_string(h.ihl) + " below 5");
+  }
+  if (h.header_bytes() > len) {
+    throw std::invalid_argument("Ipv4Header::parse: IHL " +
+                                std::to_string(h.ihl) + " exceeds " +
+                                std::to_string(len) + " captured bytes");
+  }
   h.dscp_ecn = data[1];
   h.total_length = get_u16(&data[2]);
   h.identification = get_u16(&data[4]);

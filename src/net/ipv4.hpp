@@ -70,7 +70,8 @@ class Ipv4Address {
   std::uint32_t value_ = 0;
 };
 
-// IPv4 header (no options; the paper explicitly excludes the options field).
+// IPv4 header. The paper excludes the options field: serialize() writes none,
+// and parse() reads the fixed 20 bytes and skips any options by IHL.
 struct Ipv4Header {
   std::uint8_t version = 4;
   std::uint8_t ihl = 5;  // 20-byte header
@@ -86,10 +87,15 @@ struct Ipv4Header {
 
   static constexpr std::size_t kSize = 20;
 
+  // On-wire header length including options (IHL counts 32-bit words).
+  std::size_t header_bytes() const { return std::size_t{ihl} * 4; }
+
   // Serializes to 20 network-order bytes, computing the header checksum.
   std::array<std::uint8_t, kSize> serialize() const;
 
-  // Parses 20 bytes; throws std::invalid_argument on malformed input.
+  // Parses the fixed 20 bytes; throws std::invalid_argument on malformed
+  // input: a short buffer, a version other than 4, an IHL below 5, or an
+  // IHL·4 beyond `len`.
   static Ipv4Header parse(const std::uint8_t* data, std::size_t len);
 
   // RFC 1071 checksum over this header with the checksum field zeroed.

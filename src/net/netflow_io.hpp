@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "net/parse_error.hpp"
 #include "net/trace.hpp"
 
 namespace netshare::net {
@@ -14,7 +15,11 @@ void write_netflow_csv(const FlowTrace& trace, std::ostream& out);
 void write_netflow_csv_file(const FlowTrace& trace, const std::string& path);
 
 // Parses the format written by write_netflow_csv (header row required).
-// Throws std::runtime_error on malformed rows.
+// Throws ParseError carrying the 1-based line number on a missing header, a
+// wrong column count, or any bad field: a port above 65535, a non-finite
+// start_time or duration, a negative duration, a count that is not an
+// unsigned integer, an unknown protocol or attack type, a label other than
+// 0/1, or a malformed address.
 FlowTrace read_netflow_csv(std::istream& in);
 FlowTrace read_netflow_csv_file(const std::string& path);
 

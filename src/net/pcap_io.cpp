@@ -158,7 +158,7 @@ PacketTrace read_pcap(std::istream& in) {
     rec.key.src_ip = ip.src;
     rec.key.dst_ip = ip.dst;
     rec.key.protocol = ip.protocol;
-    const std::size_t l4_off = Ipv4Header::kSize;
+    const std::size_t l4_off = ip.header_bytes();
     if ((ip.protocol == Protocol::kTcp || ip.protocol == Protocol::kUdp) &&
         bytes.size() >= l4_off + 4) {
       rec.key.src_port =

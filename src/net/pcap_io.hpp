@@ -7,9 +7,9 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 
+#include "net/parse_error.hpp"
 #include "net/trace.hpp"
 
 namespace netshare::net {
@@ -22,23 +22,12 @@ void write_pcap(const PacketTrace& trace, std::ostream& out,
 void write_pcap_file(const PacketTrace& trace, const std::string& path,
                      std::uint32_t snaplen = 96);
 
-// Malformed pcap input. offset() is the byte offset, from the start of the
-// stream, of the header field or packet record that was rejected.
-class ParseError : public std::runtime_error {
- public:
-  ParseError(const std::string& what, std::uint64_t offset)
-      : std::runtime_error(what + " (at byte " + std::to_string(offset) + ")"),
-        offset_(offset) {}
-  std::uint64_t offset() const { return offset_; }
-
- private:
-  std::uint64_t offset_;
-};
-
 // Reads a pcap file produced by write_pcap (LINKTYPE_RAW, microsecond
-// timestamps). Throws ParseError on malformed input, before allocating
-// anything a record header asks for: a record's captured length must not
-// exceed the file's snaplen or 65535, the largest IPv4 packet.
+// timestamps). Throws ParseError (byte offsets) on malformed input, before
+// allocating anything a record header asks for: a record's captured length
+// must not exceed the file's snaplen or 65535, the largest IPv4 packet. Ports
+// and TCP flags are read after the IPv4 header's IHL·4 bytes, so IP options
+// are skipped; an IHL below 5 or past the captured bytes is rejected.
 PacketTrace read_pcap(std::istream& in);
 PacketTrace read_pcap_file(const std::string& path);
 

@@ -183,6 +183,77 @@ TEST(PacketEncoder, ChunkCountsAreConsistent) {
   EXPECT_EQ(records, bundle.packets.size());
 }
 
+std::vector<ChunkInfo> chunks_of(std::vector<std::size_t> records) {
+  std::vector<ChunkInfo> chunks(records.size());
+  for (std::size_t c = 0; c < records.size(); ++c) {
+    chunks[c].real_records = records[c];
+  }
+  return chunks;
+}
+
+TEST(ChunkRecordTargets, LargestRemainderSumsToExactlyN) {
+  using Targets = std::vector<std::size_t>;
+  // Rounding each equal third on its own would give 33 + 33 + 33 = 99.
+  EXPECT_EQ(chunk_record_targets(chunks_of({10, 10, 10}), 100),
+            (Targets{34, 33, 33}));
+  // ... and 1 + 1 = 2 here.
+  EXPECT_EQ(chunk_record_targets(chunks_of({5, 5}), 1), (Targets{1, 0}));
+  // Leftovers go to the largest remainders, not the lowest index.
+  EXPECT_EQ(chunk_record_targets(chunks_of({1, 2, 4}), 10),
+            (Targets{1, 3, 6}));
+  EXPECT_EQ(chunk_record_targets(chunks_of({0, 7, 0}), 5), (Targets{0, 5, 0}));
+  EXPECT_EQ(chunk_record_targets(chunks_of({0, 0}), 5), (Targets{0, 0}));
+
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::size_t> records(1 + rng.engine()() % 8);
+    std::size_t total = 0;
+    for (auto& r : records) {
+      r = rng.engine()() % 50;
+      total += r;
+    }
+    if (total == 0) continue;
+    const std::size_t n = rng.engine()() % 5000;
+    const Targets t = chunk_record_targets(chunks_of(records), n);
+    std::size_t sum = 0;
+    for (std::size_t c = 0; c < t.size(); ++c) {
+      sum += t[c];
+      const double exact = static_cast<double>(n) *
+                           static_cast<double>(records[c]) /
+                           static_cast<double>(total);
+      EXPECT_LT(std::abs(static_cast<double>(t[c]) - exact), 1.0);
+    }
+    EXPECT_EQ(sum, n);
+  }
+}
+
+TEST(ChunkRecordTargets, GeneratePacketsReturnsExactlyN) {
+  const auto bundle = datagen::make_dataset(datagen::DatasetId::kCaida, 300, 63);
+  NetShareConfig cfg = tiny_config();
+  cfg.use_ip2vec_ports = false;
+  cfg.seed_iterations = 8;
+  cfg.finetune_iterations = 4;
+  PacketEncoder encoder(cfg, nullptr);
+  encoder.fit(bundle.packets);
+  // Pick an n whose per-chunk shares, each rounded on its own, sum to less
+  // than n: the case that used to come back short.
+  std::size_t total = 0;
+  for (const auto& c : encoder.chunks()) total += c.real_records;
+  std::size_t n = 0;
+  for (std::size_t cand = 50; cand < 200 && n == 0; ++cand) {
+    std::size_t rounded = 0;
+    for (const auto& c : encoder.chunks()) {
+      rounded += (cand * c.real_records + total / 2) / total;
+    }
+    if (rounded < cand) n = cand;
+  }
+  ASSERT_NE(n, 0u);
+  NetShare model(cfg, nullptr);
+  model.fit(bundle.packets);
+  Rng rng(64);
+  EXPECT_EQ(model.generate_packets(n, rng).size(), n);
+}
+
 TEST(NetShareEndToEnd, FlowPathProducesFaithfulTrace) {
   const auto bundle = datagen::make_dataset(datagen::DatasetId::kCidds, 800, 55);
   NetShareConfig cfg = tiny_config();

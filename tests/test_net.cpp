@@ -2,7 +2,10 @@
 // traces, pcap/netflow IO, and the NetFlow collector.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "net/checksum.hpp"
 #include "net/flow_collector.hpp"
@@ -118,6 +121,20 @@ TEST(Ipv4Header, ParseRejectsShortOrNonIpv4) {
   std::uint8_t v6[20] = {};
   v6[0] = 0x65;
   EXPECT_THROW(Ipv4Header::parse(v6, sizeof v6), std::invalid_argument);
+}
+
+TEST(Ipv4Header, ParseHonoursIhl) {
+  Ipv4Header h;
+  h.total_length = 44;
+  const auto fixed = h.serialize();
+  std::uint8_t buf[24] = {};
+  std::copy(fixed.begin(), fixed.end(), buf);
+
+  buf[0] = 0x46;  // IHL 6: 4 bytes of options follow the fixed header
+  EXPECT_EQ(Ipv4Header::parse(buf, sizeof buf).header_bytes(), 24u);
+  EXPECT_THROW(Ipv4Header::parse(buf, 20), std::invalid_argument);
+  buf[0] = 0x44;  // IHL 4: shorter than the fixed header
+  EXPECT_THROW(Ipv4Header::parse(buf, sizeof buf), std::invalid_argument);
 }
 
 TEST(MinPacketSize, MatchesPaperAppendixB) {
@@ -302,6 +319,46 @@ TEST(PcapIo, TruncatedAndShortRecordsCarryTheirOffset) {
   expect_parse_error_at(good.substr(0, 12), 0, "global header");
 }
 
+// One TCP packet, 4242 -> 443 with PSH|ACK, as a pcap image whose IPv4
+// header is widened to IHL 6 by 4 option bytes (NOP NOP NOP EOL) spliced in
+// before the TCP header.
+std::string pcap_with_ip_options() {
+  PacketTrace t;
+  t.packets.push_back({1.0,
+                       {Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2),
+                        4242, 443, Protocol::kTcp},
+                       40, 64, 0x18});
+  std::stringstream ss;
+  write_pcap(t, ss);
+  std::string img = ss.str();
+  constexpr std::size_t kFirst = 24;
+  constexpr std::size_t kIp = kFirst + 16;
+  poke_le32(img, kFirst + 8, (img[kFirst + 8] & 0xff) + 4);  // caplen
+  img.insert(kIp + Ipv4Header::kSize, std::string("\x01\x01\x01\x00", 4));
+  img[kIp] = 0x46;
+  return img;
+}
+
+TEST(PcapIo, IpOptionsShiftTheL4Offset) {
+  std::stringstream ss(pcap_with_ip_options());
+  const PacketTrace back = read_pcap(ss);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back.packets[0].key.src_port, 4242);
+  EXPECT_EQ(back.packets[0].key.dst_port, 443);
+  EXPECT_EQ(back.packets[0].tcp_flags, 0x18);
+}
+
+TEST(PcapIo, RejectsIhlBelowFiveOrPastCaplen) {
+  constexpr std::size_t kFirst = 24;
+  constexpr std::size_t kIp = kFirst + 16;
+  std::string low = pcap_with_ip_options();
+  low[kIp] = 0x44;
+  expect_parse_error_at(low, kFirst, "IHL 4 below 5");
+  std::string high = pcap_with_ip_options();
+  high[kIp] = 0x4f;  // 60-byte header in a 44-byte record
+  expect_parse_error_at(high, kFirst, "IHL 15 exceeds 44 captured bytes");
+}
+
 TEST(NetflowIo, CsvRoundTrip) {
   FlowTrace t;
   FlowRecord r;
@@ -326,6 +383,100 @@ TEST(NetflowIo, RejectsMissingHeader) {
   std::stringstream ss;
   ss << "1,2,3\n";
   EXPECT_THROW(read_netflow_csv(ss), std::runtime_error);
+}
+
+// A CSV image of two valid flow rows (lines 2 and 3), with column `column`
+// of line 3 replaced by `value`.
+std::string netflow_csv_with(std::size_t column, const std::string& value) {
+  FlowTrace t;
+  FlowRecord r;
+  r.key = {Ipv4Address(9, 8, 7, 6), Ipv4Address(5, 4, 3, 2), 4242, 443,
+           Protocol::kTcp};
+  r.start_time = 1.5;
+  r.duration = 0.25;
+  t.records = {r, r};
+  std::stringstream ss;
+  write_netflow_csv(t, ss);
+  std::string header, good, row;
+  std::getline(ss, header);
+  std::getline(ss, good);
+  std::getline(ss, row);
+  std::vector<std::string> fields;
+  std::stringstream cells(row);
+  for (std::string cell; std::getline(cells, cell, ',');) {
+    fields.push_back(cell);
+  }
+  fields.at(column) = value;
+  std::string out = header + "\n" + good + "\n";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    out += (i ? "," : "") + fields[i];
+  }
+  return out + "\n";
+}
+
+// Reads `csv` expecting a ParseError at line `line` whose message contains
+// `cause`.
+void expect_csv_error_at(const std::string& csv, std::uint64_t line,
+                         const std::string& cause) {
+  std::stringstream ss(csv);
+  try {
+    read_netflow_csv(ss);
+    ADD_FAILURE() << "read_netflow_csv accepted: " << csv;
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.unit(), ParseError::Unit::kLine) << e.what();
+    EXPECT_EQ(e.offset(), line) << e.what();
+    EXPECT_NE(std::string(e.what()).find(cause), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NetflowIo, RejectsPortsAbove65535) {
+  std::stringstream max_port(netflow_csv_with(4, "65535"));
+  const FlowTrace t = read_netflow_csv(max_port);
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.records[1].key.src_port, 65535);
+
+  expect_csv_error_at(netflow_csv_with(4, "70000"), 3,
+                      "src_port '70000' exceeds 65535");
+  expect_csv_error_at(netflow_csv_with(5, "65536"), 3,
+                      "dst_port '65536' exceeds 65535");
+  expect_csv_error_at(netflow_csv_with(5, "99999999999999999999999"), 3,
+                      "exceeds 65535");
+}
+
+TEST(NetflowIo, RejectsNonFiniteTimes) {
+  expect_csv_error_at(netflow_csv_with(0, "nan"), 3,
+                      "start_time 'nan' is not finite");
+  expect_csv_error_at(netflow_csv_with(0, "-inf"), 3, "is not finite");
+  expect_csv_error_at(netflow_csv_with(1, "inf"), 3,
+                      "duration 'inf' is not finite");
+  expect_csv_error_at(netflow_csv_with(1, "NaN"), 3, "is not finite");
+}
+
+TEST(NetflowIo, RejectsNegativeDuration) {
+  expect_csv_error_at(netflow_csv_with(1, "-0.5"), 3,
+                      "duration '-0.5' is negative");
+}
+
+TEST(NetflowIo, MalformedFieldsNameTheirLine) {
+  expect_csv_error_at(netflow_csv_with(4, "abc"), 3,
+                      "src_port 'abc' is not an unsigned integer");
+  expect_csv_error_at(netflow_csv_with(7, "-1"), 3,
+                      "packets '-1' is not an unsigned integer");
+  expect_csv_error_at(netflow_csv_with(8, "12x"), 3,
+                      "bytes '12x' is not an unsigned integer");
+  expect_csv_error_at(netflow_csv_with(0, "1.5s"), 3,
+                      "start_time '1.5s' is not a number");
+  expect_csv_error_at(netflow_csv_with(2, "1.2.3"), 3, "malformed address");
+  expect_csv_error_at(netflow_csv_with(6, "SCTP"), 3,
+                      "protocol 'SCTP' is unknown");
+  expect_csv_error_at(netflow_csv_with(9, "yes"), 3,
+                      "label 'yes' is not 0 or 1");
+  expect_csv_error_at(netflow_csv_with(10, "nonsense"), 3, "nonsense");
+  expect_csv_error_at("start_time\n", 1, "header");
+  std::string short_row = netflow_csv_with(0, "1.0");
+  short_row.erase(short_row.rfind(','));
+  expect_csv_error_at(short_row + "\n", 3, "expected 11 columns, got 10");
 }
 
 TEST(FlowCollector, SinglePacketMakesSingleRecord) {

@@ -17,6 +17,7 @@
 
 #include "core/netshare.hpp"
 #include "core/train.hpp"
+#include "datagen/presets.hpp"
 #include "eval/report.hpp"
 #include "gan/doppelganger.hpp"
 #include "gan/tabular_gan.hpp"
@@ -416,6 +417,28 @@ TEST(ChunkFaults, ReportRendersEveryStatus) {
        {"seed", "fine-tune", "trained", "empty", "resumed", "seed-fallback",
         "training diverged", "1 trained, 1 resumed, 1 seed-fallback, 1 empty"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << "missing: " << needle;
+  }
+
+  // A real fit + generate fills the per-chunk stage timings the train_s and
+  // gen_s columns render.
+  const auto bundle =
+      datagen::make_dataset(datagen::DatasetId::kCaida, 200, 21);
+  core::NetShare model(tiny_trainer_config(), nullptr);
+  model.fit(bundle.packets);
+  Rng rng(31);
+  model.generate_packets(60, rng);
+  const core::TrainReport& fitted = model.train_report();
+  bool any_train = false, any_generate = false;
+  for (const auto& r : fitted.chunks) {
+    any_train = any_train || r.train_sec > 0.0;
+    any_generate = any_generate || r.generate_sec > 0.0;
+  }
+  EXPECT_TRUE(any_train);
+  EXPECT_TRUE(any_generate);
+  std::ostringstream timed;
+  eval::print_train_report(timed, fitted);
+  for (const char* needle : {"train_s", "gen_s"}) {
+    EXPECT_NE(timed.str().find(needle), std::string::npos) << timed.str();
   }
 }
 
