@@ -1,6 +1,7 @@
 #include "core/netshare.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <stdexcept>
 
@@ -129,6 +130,12 @@ std::size_t round_flows(std::size_t deficit, double rpf, bool first) {
                : std::max<std::size_t>(8, deficit);
 }
 
+// Records per flow the deficit loop plans with for chunk c.
+double planned_records_per_flow(const ChunkInfo& c,
+                                const NetShareConfig& config) {
+  return std::min(records_per_flow(c), static_cast<double>(config.max_seq_len));
+}
+
 // Deficit-loop sampling + decode for one chunk. The result is a pure
 // function of (chunk index, target, seed) — the sampler draws from
 // counter-based per-(chunk, series) streams and the decoder is const — so
@@ -143,8 +150,7 @@ void sample_chunk_part(const std::vector<ChunkInfo>& chunks, std::size_t c,
   Stopwatch sw;
   TELEM_SPAN("generate.chunk", {"chunk", static_cast<long long>(c)});
   out = TraceT{};
-  const double rpf = std::min(records_per_flow(chunks[c]),
-                              static_cast<double>(config.max_seq_len));
+  const double rpf = planned_records_per_flow(chunks[c], config);
   bool first = true;
   std::size_t series_at = 0;  // keeps stream indices unique across rounds
   gan::GeneratedSeries series;
@@ -185,31 +191,110 @@ TraceT merge_chunk_parts(std::vector<TraceT>& parts, std::size_t n,
   return out;
 }
 
-// Fills each target chunk's sub-trace in parallel across chunk workers,
-// splitting the thread budget like ChunkedTrainer::fit. Any worker count
-// produces bitwise-identical traces (see sample_chunk_part); serial
-// generation is just workers == 1.
+// Series per sampling task in generate_trace: 64 batches of the default
+// 64. Fixed, so the task list is the same at any worker count.
+constexpr std::size_t kBlockSeries = 4096;
+
+// Fills each target chunk's sub-trace with the deficit loop of
+// sample_chunk_part, run for all chunks at once: each round's series range
+// of every short chunk is cut into blocks of kBlockSeries consecutive series
+// indices, and the blocks of all chunks form one task list over the phase's
+// workers. A worker samples each block of a split chunk on its own sampler
+// for that chunk (a chunk in one block uses its model's own, as the serial
+// path does) and decodes it in the same task. The decoded blocks are appended in series
+// order, and export's stable sort orders them as it orders one decode of the
+// whole round (decode is per series, then stably sorted), so the trace is
+// bitwise the one sample_chunk_part gives, at any worker count (DESIGN.md
+// §7).
 template <typename TraceT, typename RecordsOf, typename DecodeFn>
 TraceT generate_trace(const std::vector<ChunkInfo>& chunks,
                       const std::vector<std::size_t>& targets, std::size_t n,
                       std::uint64_t seed, const NetShareConfig& config,
                       ChunkedTrainer& trainer, const RecordsOf& records_of,
                       const DecodeFn& decode) {
+  struct ChunkRun {
+    std::size_t series_at = 0;  // next unused stream index
+    double seconds = 0.0;       // summed block task time
+  };
+  struct Block {
+    std::size_t chunk, first, count;
+    bool split;  // the chunk's round has more than one block
+  };
   std::vector<std::size_t> active;
   for (std::size_t c = 0; c < chunks.size(); ++c) {
     if (targets[c] > 0 && trainer.has_model(c)) active.push_back(c);
   }
   std::vector<TraceT> parts(chunks.size());
+  std::vector<ChunkRun> runs(chunks.size());
   const std::size_t budget =
       parallel_phase_budget(std::max<std::size_t>(1, config.threads));
+  // Worker slot w's sampler for chunk c is samplers[w * chunks + c], made
+  // on first use and kept across rounds.
+  std::vector<std::unique_ptr<gan::DoppelGanger::Sampler>> samplers(
+      budget * chunks.size());
+  std::vector<Block> blocks;
+  std::vector<TraceT> decoded;
+  std::vector<double> seconds;
+  for (bool first = true;; first = false) {
+    blocks.clear();
+    for (const std::size_t c : active) {
+      const std::size_t have = parts[c].size();
+      if (have >= targets[c]) continue;
+      ChunkRun& run = runs[c];
+      const std::size_t flows = round_flows(
+          targets[c] - have, planned_records_per_flow(chunks[c], config),
+          first);
+      for (std::size_t at = 0; at < flows; at += kBlockSeries) {
+        blocks.push_back({c, run.series_at + at,
+                          std::min(kBlockSeries, flows - at),
+                          flows > kBlockSeries});
+      }
+      run.series_at += flows;
+    }
+    if (blocks.empty()) break;
+    decoded.assign(blocks.size(), TraceT{});
+    seconds.assign(blocks.size(), 0.0);
+    const PhaseBudget split =
+        split_phase_budget(budget, blocks.size(), config.kernels);
+    ml::kernels::ConfigOverride guard(split.kernel_cfg);
+    std::atomic<std::size_t> next{0};
+    run_parallel_tasks(split.workers, split.workers, [&](std::size_t w) {
+      gan::GeneratedSeries series;
+      for (std::size_t i; (i = next.fetch_add(1)) < blocks.size();) {
+        const Block& b = blocks[i];
+        Stopwatch sw;
+        TELEM_SPAN("generate.block",
+                   {"chunk", static_cast<long long>(b.chunk)});
+        if (b.split) {
+          auto& sampler = samplers[w * chunks.size() + b.chunk];
+          if (!sampler) sampler = trainer.make_chunk_sampler(b.chunk);
+          trainer.sample_chunk_into(b.chunk, *sampler, b.count, seed, b.first,
+                                    series);
+        } else {  // no other task samples this chunk: use its model's own
+          trainer.sample_chunk_into(b.chunk, b.count, seed, b.first, series);
+        }
+        decoded[i] = decode(series, b.chunk);
+        seconds[i] = sw.seconds();
+      }
+    });
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      auto& dst = records_of(parts[blocks[i].chunk]);
+      auto& src = records_of(decoded[i]);
+      if (dst.empty()) {
+        dst.swap(src);
+      } else {
+        dst.insert(dst.end(), src.begin(), src.end());
+      }
+      decoded[i] = TraceT{};
+      runs[blocks[i].chunk].seconds += seconds[i];
+    }
+  }
   const PhaseBudget split =
       split_phase_budget(budget, active.size(), config.kernels);
-  ml::kernels::ConfigOverride guard(split.kernel_cfg);
   run_parallel_tasks(split.workers, active.size(), [&](std::size_t ai) {
     const std::size_t c = active[ai];
-    sample_chunk_part(chunks, c, targets[c], seed, config, trainer, records_of,
-                      decode, parts[c]);
     export_chunk_part(targets[c], records_of, parts[c]);
+    trainer.note_generate_seconds(c, runs[c].seconds);
   });
   return merge_chunk_parts(parts, n, records_of);
 }

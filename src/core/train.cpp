@@ -273,6 +273,23 @@ void ChunkedTrainer::sample_chunk_into(std::size_t c, std::size_t n,
   models_[c]->sample_into(n, mix_seed(seed, c), first_series, out);
 }
 
+std::unique_ptr<gan::DoppelGanger::Sampler>
+ChunkedTrainer::make_chunk_sampler(std::size_t c) {
+  if (!has_model(c)) {
+    throw std::logic_error("ChunkedTrainer::make_chunk_sampler: chunk " +
+                           std::to_string(c) + " has no model");
+  }
+  return models_[c]->make_sampler();
+}
+
+void ChunkedTrainer::sample_chunk_into(std::size_t c,
+                                       gan::DoppelGanger::Sampler& sampler,
+                                       std::size_t n, std::uint64_t seed,
+                                       std::size_t first_series,
+                                       gan::GeneratedSeries& out) {
+  sampler.sample_into(n, mix_seed(seed, c), first_series, out);
+}
+
 void ChunkedTrainer::sample_chunk_reference_into(std::size_t c, std::size_t n,
                                                  std::uint64_t seed,
                                                  std::size_t first_series,
@@ -317,8 +334,7 @@ void ChunkedTrainer::sample_chunks(const std::vector<std::size_t>& counts,
     const std::size_t c = active[i];
     Stopwatch sw;
     TELEM_SPAN("generate.chunk", {"chunk", static_cast<long long>(c)});
-    // One model per task: sample_into is not thread-safe per instance, but
-    // distinct chunk models share no mutable state (per-model Workspace).
+    // One model per task: each chunk model's own sampler serves one thread.
     sample_chunk_into(c, counts[c], seed, 0, out[c]);
     note_generate_seconds(c, sw.seconds());
   });

@@ -112,6 +112,17 @@ class ChunkedTrainer {
   void sample_chunk_into(std::size_t c, std::size_t n, std::uint64_t seed,
                          std::size_t first_series, gan::GeneratedSeries& out);
 
+  // A caller-owned sampler over chunk c's model (requires has_model(c); see
+  // gan::DoppelGanger::make_sampler). Samplers run concurrently, so several
+  // workers can share one chunk's series range.
+  std::unique_ptr<gan::DoppelGanger::Sampler> make_chunk_sampler(
+      std::size_t c);
+  // sample_chunk_into through a sampler made by make_chunk_sampler(c):
+  // bitwise the same output.
+  void sample_chunk_into(std::size_t c, gan::DoppelGanger::Sampler& sampler,
+                         std::size_t n, std::uint64_t seed,
+                         std::size_t first_series, gan::GeneratedSeries& out);
+
   // Same contract through the full-unroll reference sampler
   // (DoppelGanger::sample_reference_into): bitwise identical to
   // sample_chunk_into, kept as the serial baseline for bench/pipeline_e2e

@@ -88,6 +88,12 @@ std::vector<ml::Parameter*> DoppelGanger::Generator::parameters() {
   return params;
 }
 
+void DoppelGanger::Generator::copy_weights_from(Generator& src) {
+  const std::vector<ml::Parameter*> from = src.parameters();
+  const std::vector<ml::Parameter*> to = parameters();
+  for (std::size_t i = 0; i < from.size(); ++i) to[i]->value = from[i]->value;
+}
+
 void DoppelGanger::Generator::forward(const Matrix& za,
                                       const std::vector<Matrix>& zts,
                                       GenOutput& out) {
@@ -510,9 +516,7 @@ void DoppelGanger::train_iteration(const TimeSeriesDataset& data,
   // (which keeps its BPTT caches for the generator update).
   Generator& critic_gen = mirror_ ? *mirror_ : gen_;
   if (mirror_ != nullptr && critic_forwards > 0) {
-    const std::vector<ml::Parameter*> src = gen_.parameters();
-    const std::vector<ml::Parameter*> dst = mirror_->parameters();
-    for (std::size_t i = 0; i < src.size(); ++i) dst[i]->value = src[i]->value;
+    mirror_->copy_weights_from(gen_);
   }
   std::vector<std::future<void>> pending;
   WaitAll wait_all{pending};
@@ -652,28 +656,64 @@ GeneratedSeries DoppelGanger::sample(std::size_t n, Rng& rng) {
   return out;
 }
 
-Matrix& DoppelGanger::stage_attr_noise(std::size_t b,
-                                       std::uint64_t stream_seed,
-                                       std::size_t first_series) {
+void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
+                               std::size_t first_series, GeneratedSeries& out) {
+  own_sampler().sample_into(n, stream_seed, first_series, out);
+}
+
+void DoppelGanger::sample_reference_into(std::size_t n,
+                                         std::uint64_t stream_seed,
+                                         std::size_t first_series,
+                                         GeneratedSeries& out) {
+  own_sampler().sample_reference_into(n, stream_seed, first_series, out);
+}
+
+DoppelGanger::Sampler& DoppelGanger::own_sampler() {
+  if (!sampler_) sampler_.reset(new Sampler(*this, gen_));
+  return *sampler_;
+}
+
+std::unique_ptr<DoppelGanger::Sampler> DoppelGanger::make_sampler() {
+  Rng unused(0);  // every weight is copied from gen_ below
+  auto copy = std::make_unique<Generator>(spec_, config_, unused);
+  copy->copy_weights_from(gen_);
+  return std::unique_ptr<Sampler>(new Sampler(*this, std::move(copy)));
+}
+
+DoppelGanger::Sampler::Sampler(const DoppelGanger& model, Generator& gen)
+    : spec_(model.spec_), config_(model.config_), gen_(gen) {}
+
+DoppelGanger::Sampler::Sampler(const DoppelGanger& model,
+                               std::unique_ptr<Generator> copy)
+    : spec_(model.spec_),
+      config_(model.config_),
+      copy_(std::move(copy)),
+      gen_(*copy_) {}
+
+Matrix& DoppelGanger::Sampler::stage_attr_noise(std::size_t b,
+                                                std::uint64_t stream_seed,
+                                                std::size_t first_series) {
   // Stage each series' noise from its own counter-based stream, in the
   // fixed draw order (attribute noise, then z_t per step): row i's noise
   // depends only on stream_seed and its global series index, never on the
   // batch it landed in.
   Matrix& za = ws_.get(b, config_.attr_noise_dim);
-  samp_noise_.clear();
-  samp_noise_.reserve(b);
+  noise_.clear();
+  noise_.reserve(b);
   for (std::size_t i = 0; i < b; ++i) {
-    samp_noise_.emplace_back(stream_seed, first_series + i);
+    noise_.emplace_back(stream_seed, first_series + i);
     double* zrow = za.row_ptr(i);
     for (std::size_t j = 0; j < config_.attr_noise_dim; ++j) {
-      zrow[j] = samp_noise_.back().normal();
+      zrow[j] = noise_.back().normal();
     }
   }
   return za;
 }
 
-void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
-                               std::size_t first_series, GeneratedSeries& out) {
+void DoppelGanger::Sampler::sample_into(std::size_t n,
+                                        std::uint64_t stream_seed,
+                                        std::size_t first_series,
+                                        GeneratedSeries& out) {
   TELEM_SPAN("gan.sample", {"series", static_cast<long long>(n)});
   const std::size_t T = spec_.max_len;
   const std::size_t F = spec_.feature_dim();
@@ -701,16 +741,16 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
     }
 
     // Length-adaptive unroll: step the RNN one step at a time over the live
-    // sub-batch only. Row j of samp_h_/samp_attr_ belongs to series
+    // sub-batch only. Row j of h_/attr_ belongs to series
     // live_[j]; a series whose alive flag drops below 0.5 is emitted with
     // length max(1, t) — the same rule the reference full unroll applies
     // after the fact — and leaves the batch. Every kernel in the step
     // (fused GRU gates, linear, MixedHead) is row-wise, so dropping dead
     // rows never changes the surviving rows' values, and the output stays
     // bitwise identical to sample_reference_into.
-    samp_attr_ = attr;
-    samp_h_.resize(b, H);
-    samp_h_.fill(0.0);
+    attr_ = attr;
+    h_.resize(b, H);
+    h_.fill(0.0);
     live_.resize(b);
     for (std::size_t i = 0; i < b; ++i) live_[i] = i;
 
@@ -723,36 +763,36 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
       // z_t is drawn lazily, only for series still alive at this step: each
       // series' stream is private and its draw order fixed, so skipping the
       // dead series' later draws never changes the values live series see.
-      samp_x_.resize(m, Z + A);
+      x_.resize(m, Z + A);
       for (std::size_t j = 0; j < m; ++j) {
-        double* xrow = samp_x_.row_ptr(j);
-        NoiseStream& ns = samp_noise_[live_[j]];
+        double* xrow = x_.row_ptr(j);
+        NoiseStream& ns = noise_[live_[j]];
         for (std::size_t q = 0; q < Z; ++q) xrow[q] = ns.normal();
-        const double* asrc = samp_attr_.row_ptr(j);
+        const double* asrc = attr_.row_ptr(j);
         std::copy(asrc, asrc + A, xrow + Z);
       }
-      gen_.rnn->step_into(samp_x_, samp_h_, samp_h_next_);
+      gen_.rnn->step_into(x_, h_, h_next_);
       const Matrix& y =
-          gen_.out_head->forward(gen_.out_linear->forward(samp_h_next_));
+          gen_.out_head->forward(gen_.out_linear->forward(h_next_));
 
-      // Shape the compacted buffers before filling them (samp_h_'s h_{t-1}
+      // Shape the compacted buffers before filling them (h_'s h_{t-1}
       // contents were consumed by step_into above).
       std::size_t k = 0;
       for (std::size_t j = 0; j < m; ++j) {
         if (y(j, F) >= 0.5) ++k;
       }
-      samp_h_.resize(k, H);
-      samp_attr_next_.resize(k, A);
+      h_.resize(k, H);
+      attr_next_.resize(k, A);
       std::size_t w = 0;
       for (std::size_t j = 0; j < m; ++j) {
         const std::size_t row = done + live_[j];
         const double* ysrc = y.row_ptr(j);
         if (ysrc[F] >= 0.5) {
           std::copy(ysrc, ysrc + F, out.features[t].row_ptr(row));
-          const double* hsrc = samp_h_next_.row_ptr(j);
-          std::copy(hsrc, hsrc + H, samp_h_.row_ptr(w));
-          std::copy(samp_attr_.row_ptr(j), samp_attr_.row_ptr(j) + A,
-                    samp_attr_next_.row_ptr(w));
+          const double* hsrc = h_next_.row_ptr(j);
+          std::copy(hsrc, hsrc + H, h_.row_ptr(w));
+          std::copy(attr_.row_ptr(j), attr_.row_ptr(j) + A,
+                    attr_next_.row_ptr(w));
           live_[w] = live_[j];
           ++w;
         } else {
@@ -763,7 +803,7 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
         }
       }
       live_.resize(k);
-      std::swap(samp_attr_, samp_attr_next_);
+      std::swap(attr_, attr_next_);
     }
     done += b;
   }
@@ -774,10 +814,10 @@ void DoppelGanger::sample_into(std::size_t n, std::uint64_t stream_seed,
   }
 }
 
-void DoppelGanger::sample_reference_into(std::size_t n,
-                                         std::uint64_t stream_seed,
-                                         std::size_t first_series,
-                                         GeneratedSeries& out) {
+void DoppelGanger::Sampler::sample_reference_into(std::size_t n,
+                                                  std::uint64_t stream_seed,
+                                                  std::size_t first_series,
+                                                  GeneratedSeries& out) {
   const std::size_t T = spec_.max_len;
   const std::size_t F = spec_.feature_dim();
   out.spec = spec_;
@@ -799,7 +839,7 @@ void DoppelGanger::sample_reference_into(std::size_t n,
       zts_[t].resize(b, config_.feat_noise_dim);
     }
     for (std::size_t i = 0; i < b; ++i) {
-      NoiseStream& ns = samp_noise_[i];
+      NoiseStream& ns = noise_[i];
       for (std::size_t t = 0; t < T; ++t) {
         double* trow = zts_[t].row_ptr(i);
         for (std::size_t j = 0; j < config_.feat_noise_dim; ++j) {

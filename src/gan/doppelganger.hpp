@@ -54,6 +54,9 @@ struct DgConfig {
 class DoppelGanger {
  public:
   DoppelGanger(TimeSeriesSpec spec, DgConfig config, std::uint64_t seed);
+  // Pinned: the model's own sampler refers to gen_.
+  DoppelGanger(const DoppelGanger&) = delete;
+  DoppelGanger& operator=(const DoppelGanger&) = delete;
 
   // Trains (or, when called on a restored model, fine-tunes) for
   // config.iterations on `data`. Above one kernel thread, each iteration's
@@ -73,11 +76,12 @@ class DoppelGanger {
   // (stream_seed, first_series + i), and every stage of the generator
   // forward pass is row-wise, so each output row is a pure function of its
   // own stream: results are bitwise independent of the batch size, of how
-  // callers partition [0, n) across calls, and of the kernel thread count.
-  // After a warm-up call with the same n, repeated calls perform zero
-  // Matrix heap allocations (asserted in tests/test_generate.cpp). Not
-  // thread-safe per model instance: concurrent callers must use distinct
-  // models (as ChunkedTrainer's chunk-parallel sampling does).
+  // callers partition [0, n) across calls, of the kernel thread count, and
+  // of which Sampler runs them. After a warm-up call with the same n,
+  // repeated calls perform zero Matrix heap allocations (asserted in
+  // tests/test_generate.cpp). Runs on the model's own sampler, so it is not
+  // thread-safe per model instance; concurrent callers each use a Sampler
+  // from make_sampler().
   // The fast path is length-adaptive: the generator is stepped one RNN step
   // at a time and series whose alive flag has dropped leave the batch, so
   // compute is proportional to the total emitted length rather than
@@ -94,6 +98,15 @@ class DoppelGanger {
   // sample_into.
   void sample_reference_into(std::size_t n, std::uint64_t stream_seed,
                              std::size_t first_series, GeneratedSeries& out);
+
+  // Caller-owned sampling state (DESIGN.md §7): a forward-only copy of the
+  // generator's weights taken now, plus every buffer sampling writes.
+  // Samplers made from one model sample concurrently and equal sample_into
+  // bitwise. make_sampler only reads the model, so several threads may call
+  // it at once; nobody may train the model while it runs or while a sampler
+  // made from it is in use.
+  class Sampler;
+  std::unique_ptr<Sampler> make_sampler();
 
   // Warm-start support (Insights 3 and 4).
   std::vector<double> snapshot();
@@ -123,10 +136,13 @@ class DoppelGanger {
   // The four generator modules plus the buffers one forward pass through
   // them needs. The trained generator is one; when fit() has helper
   // threads, a forward-only mirror holding a copy of its weights runs the
-  // critic steps' forwards (DESIGN.md §15).
+  // critic steps' forwards (DESIGN.md §15), and every Sampler from
+  // make_sampler() holds another such copy (DESIGN.md §7).
   struct Generator {
     Generator(const TimeSeriesSpec& spec, const DgConfig& config, Rng& rng);
     std::vector<ml::Parameter*> parameters();
+    // Copies src's weights into this generator (reads src only).
+    void copy_weights_from(Generator& src);
     // Attribute MLP, per-step concat, GRU unroll, MixedHead: consumes `za`
     // and the per-step noise `zts`, keeps the caches backward needs, and
     // writes into `out` (persistent buffers, so steady-state calls reuse
@@ -154,15 +170,6 @@ class DoppelGanger {
 
   struct Helpers;  // one fit() call's helper threads (doppelganger.cpp)
 
-  // Builds one batch of per-series counter-based noise streams
-  // (samp_noise_), fills za (a ws_ cursor) with each series' attribute
-  // noise, and returns za. Draw order per series is fixed — attribute
-  // noise, then z_0, z_1, ... — so the adaptive sampler (which draws z_t
-  // lazily, only for series still alive at step t) sees exactly the same
-  // prefix of each stream as the reference sampler (which drains all
-  // max_len steps).
-  ml::Matrix& stage_attr_noise(std::size_t b, std::uint64_t stream_seed,
-                               std::size_t first_series);
   // Backprop through the generator given dLoss/d(attr) and dLoss/d(features).
   void generator_backward(const ml::Matrix& attr_grad,
                           const std::vector<ml::Matrix>& feature_grads);
@@ -212,19 +219,16 @@ class DoppelGanger {
   ml::Workspace ws_;
   // Persistent batch buffers reused across iterations.
   std::vector<StepBatch> steps_;    // d_steps_per_g critic steps, then G
-  GenOutput real_, fake_;           // fake_: reference-sampler output
-  std::vector<ml::Matrix> zts_;     // reference-sampler noise z_t
+  GenOutput real_;
   std::vector<ml::Matrix> ghs_;     // per-step hidden-state gradients
   std::vector<ml::Matrix> fgrads_;  // per-step feature gradients
   ml::Matrix xr_, xf_, x1_, x2_, a1_, a2_, fa_row_;
   std::vector<double> dist_, adist_, dp_interp_;
   std::vector<std::size_t> row1_;
-  // Length-adaptive sampling state (sample_into): compacting double buffers
-  // for the live sub-batch's hidden state and attribute rows, the per-step
-  // RNN input, and the surviving series' original batch indices.
-  ml::Matrix samp_h_, samp_h_next_, samp_x_, samp_attr_, samp_attr_next_;
-  std::vector<std::size_t> live_;
-  std::vector<NoiseStream> samp_noise_;  // per-series streams for one batch
+  // The model's own sampler (sample_into, sample_reference_into): runs on
+  // gen_ itself, made on first use.
+  std::unique_ptr<Sampler> sampler_;
+  Sampler& own_sampler();
 
   double train_cpu_seconds_ = 0.0;
   std::size_t dp_steps_ = 0;
@@ -240,6 +244,45 @@ class DoppelGanger {
   std::vector<ml::Parameter*> generator_params();
   std::vector<ml::Parameter*> discriminator_params();
   std::vector<ml::Parameter*> all_params();
+};
+
+class DoppelGanger::Sampler {
+ public:
+  // Same contract as DoppelGanger::sample_into.
+  void sample_into(std::size_t n, std::uint64_t stream_seed,
+                   std::size_t first_series, GeneratedSeries& out);
+
+ private:
+  friend class DoppelGanger;
+  // Samples through `gen` (the model's own generator, or copy_).
+  Sampler(const DoppelGanger& model, Generator& gen);
+  Sampler(const DoppelGanger& model, std::unique_ptr<Generator> copy);
+
+  void sample_reference_into(std::size_t n, std::uint64_t stream_seed,
+                             std::size_t first_series, GeneratedSeries& out);
+  // Builds one batch of per-series counter-based noise streams (noise_),
+  // fills za (a ws_ cursor) with each series' attribute noise, and returns
+  // za. Draw order per series is fixed — attribute noise, then z_0, z_1,
+  // ... — so the adaptive sampler (which draws z_t lazily, only for series
+  // still alive at step t) sees exactly the same prefix of each stream as
+  // the reference sampler (which drains all max_len steps).
+  ml::Matrix& stage_attr_noise(std::size_t b, std::uint64_t stream_seed,
+                               std::size_t first_series);
+
+  const TimeSeriesSpec& spec_;
+  const DgConfig& config_;
+  std::unique_ptr<Generator> copy_;  // null for the model's own sampler
+  Generator& gen_;
+  ml::Workspace ws_;  // reset per batch
+  std::vector<NoiseStream> noise_;  // per-series streams for one batch
+  // Length-adaptive state (sample_into): compacting double buffers for the
+  // live sub-batch's hidden state and attribute rows, the per-step RNN
+  // input, and the surviving series' original batch indices.
+  ml::Matrix h_, h_next_, x_, attr_, attr_next_;
+  std::vector<std::size_t> live_;
+  // Reference-sampler noise z_t and output.
+  std::vector<ml::Matrix> zts_;
+  GenOutput fake_;
 };
 
 }  // namespace netshare::gan

@@ -1,5 +1,6 @@
 #include "ml/serialize.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -140,28 +141,32 @@ std::vector<double> load_snapshot_file(const std::string& path) {
     throw SnapshotError(SnapshotError::Kind::kIo,
                         "load_snapshot_file: cannot open " + path);
   }
+  return load_snapshot(in, path);
+}
+
+std::vector<double> load_snapshot(std::istream& in, const std::string& name) {
   std::array<char, 8> magic{};
   in.read(magic.data(), static_cast<std::streamsize>(magic.size()));
   if (in.gcount() != static_cast<std::streamsize>(magic.size())) {
     throw SnapshotError(SnapshotError::Kind::kTruncated,
-                        "load_snapshot_file: " + path +
+                        "load_snapshot: " + name +
                             " shorter than the 8-byte magic (" +
                             std::to_string(in.gcount()) + " bytes)");
   }
   if (std::memcmp(magic.data(), kMagic.data(), kMagic.size()) != 0) {
     throw SnapshotError(SnapshotError::Kind::kBadMagic,
-                        "load_snapshot_file: " + path +
+                        "load_snapshot: " + name +
                             " is not a NetShare snapshot (bad magic)");
   }
   std::uint32_t version = 0;
   in.read(reinterpret_cast<char*>(&version), sizeof version);
   if (in.gcount() != sizeof version) {
     throw SnapshotError(SnapshotError::Kind::kTruncated,
-                        "load_snapshot_file: " + path + " truncated in header");
+                        "load_snapshot: " + name + " truncated in header");
   }
   if (version != kVersion) {
     throw SnapshotError(SnapshotError::Kind::kBadVersion,
-                        "load_snapshot_file: " + path + " has format version " +
+                        "load_snapshot: " + name + " has format version " +
                             std::to_string(version) + ", this build reads " +
                             std::to_string(kVersion));
   }
@@ -169,31 +174,41 @@ std::vector<double> load_snapshot_file(const std::string& path) {
   in.read(reinterpret_cast<char*>(&n), sizeof n);
   if (in.gcount() != sizeof n) {
     throw SnapshotError(SnapshotError::Kind::kTruncated,
-                        "load_snapshot_file: " + path + " truncated in header");
+                        "load_snapshot: " + name + " truncated in header");
   }
-  std::vector<double> flat(n);
-  in.read(reinterpret_cast<char*>(flat.data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  if (in.gcount() != static_cast<std::streamsize>(n * sizeof(double))) {
-    throw SnapshotError(
-        SnapshotError::Kind::kTruncated,
-        "load_snapshot_file: " + path + " payload truncated: expected " +
-            std::to_string(n * sizeof(double)) + " bytes, got " +
-            std::to_string(in.gcount()));
+  // The count is untrusted: read the payload in bounded pieces, so memory
+  // grows only with the bytes actually present.
+  constexpr std::uint64_t kPiece = 8192;  // doubles per read
+  std::vector<double> flat;
+  while (flat.size() < n) {
+    const std::size_t have = flat.size();
+    const std::size_t want =
+        static_cast<std::size_t>(std::min<std::uint64_t>(kPiece, n - have));
+    flat.resize(have + want);
+    in.read(reinterpret_cast<char*>(flat.data() + have),
+            static_cast<std::streamsize>(want * sizeof(double)));
+    if (in.gcount() != static_cast<std::streamsize>(want * sizeof(double))) {
+      throw SnapshotError(
+          SnapshotError::Kind::kTruncated,
+          "load_snapshot: " + name + " payload truncated: header promises " +
+              std::to_string(n) + " doubles, file holds " +
+              std::to_string(have + static_cast<std::size_t>(in.gcount()) /
+                                        sizeof(double)));
+    }
   }
   std::uint32_t stored = 0;
   in.read(reinterpret_cast<char*>(&stored), sizeof stored);
   if (in.gcount() != sizeof stored) {
     throw SnapshotError(SnapshotError::Kind::kTruncated,
-                        "load_snapshot_file: " + path + " missing checksum");
+                        "load_snapshot: " + name + " missing checksum");
   }
   std::uint32_t crc = crc32(kMagic.data(), kMagic.size());
   crc = crc32(&version, sizeof version, crc);
   crc = crc32(&n, sizeof n, crc);
-  crc = crc32(flat.data(), n * sizeof(double), crc);
+  crc = crc32(flat.data(), flat.size() * sizeof(double), crc);
   if (crc != stored) {
     std::ostringstream msg;
-    msg << "load_snapshot_file: " << path << " checksum mismatch: stored 0x"
+    msg << "load_snapshot: " << name << " checksum mismatch: stored 0x"
         << std::hex << stored << ", computed 0x" << crc;
     throw SnapshotError(SnapshotError::Kind::kChecksum, msg.str());
   }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -71,5 +72,8 @@ void restore_parameters(const std::vector<Parameter*>& params,
 void save_snapshot_file(const std::vector<double>& snapshot,
                         const std::string& path);
 std::vector<double> load_snapshot_file(const std::string& path);
+// The load half on any stream (`name` labels errors). Memory grows with the
+// payload bytes actually read, never with the header's untrusted count.
+std::vector<double> load_snapshot(std::istream& in, const std::string& name);
 
 }  // namespace netshare::ml

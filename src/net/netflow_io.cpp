@@ -1,13 +1,15 @@
 #include "net/netflow_io.hpp"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <iomanip>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "net/parse_error.hpp"
@@ -105,16 +107,71 @@ FlowRecord parse_row(const std::vector<std::string>& f, std::size_t line) {
 }  // namespace
 
 void write_netflow_csv(const FlowTrace& trace, std::ostream& out) {
-  // Full round-trip precision for the time fields.
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
-  out << kHeader << '\n';
-  for (const auto& r : trace.records) {
-    out << r.start_time << ',' << r.duration << ',' << r.key.src_ip.to_string()
-        << ',' << r.key.dst_ip.to_string() << ',' << r.key.src_port << ','
-        << r.key.dst_port << ',' << protocol_name(r.key.protocol) << ','
-        << r.packets << ',' << r.bytes << ',' << (r.is_attack ? 1 : 0) << ','
-        << attack_type_name(r.attack_type) << '\n';
+  // Rows are formatted with std::to_chars into a local buffer, flushed with
+  // out.write whenever less than one row of room is left. Doubles use
+  // general format at 17 significant digits, which is the %.17g an
+  // ostream gives at setprecision(17) in the classic locale, so the bytes
+  // are those of `out << value` there (DESIGN.md §7).
+  constexpr std::size_t kBufferBytes = 64 * 1024;
+  constexpr std::size_t kMaxRowBytes = 256;  // a row needs at most ~160
+  constexpr int kDigits = std::numeric_limits<double>::max_digits10;
+  // Name text per enum value (both enums are one byte wide), so no row
+  // builds a string.
+  std::array<std::string, 256> protocols, attacks;
+  for (std::size_t v = 0; v < protocols.size(); ++v) {
+    protocols[v] = protocol_name(static_cast<Protocol>(v));
+    attacks[v] = attack_type_name(static_cast<AttackType>(v));
   }
+  std::vector<char> buf(kBufferBytes);
+  char* const begin = buf.data();
+  char* const end = begin + kBufferBytes;
+  char* p = begin;
+  const auto put_text = [&p](std::string_view s) {
+    p = std::copy(s.begin(), s.end(), p);
+  };
+  const auto put_uint = [&p, end](std::uint64_t v) {
+    p = std::to_chars(p, end, v).ptr;
+  };
+  const auto put_double = [&p, end](double v) {
+    p = std::to_chars(p, end, v, std::chars_format::general, kDigits).ptr;
+  };
+  const auto put_ip = [&](Ipv4Address ip) {
+    for (int i = 0; i < 4; ++i) {
+      if (i > 0) *p++ = '.';
+      put_uint(ip.octet(i));
+    }
+  };
+  put_text(kHeader);
+  *p++ = '\n';
+  for (const auto& r : trace.records) {
+    if (static_cast<std::size_t>(end - p) < kMaxRowBytes) {
+      out.write(begin, p - begin);
+      p = begin;
+    }
+    put_double(r.start_time);
+    *p++ = ',';
+    put_double(r.duration);
+    *p++ = ',';
+    put_ip(r.key.src_ip);
+    *p++ = ',';
+    put_ip(r.key.dst_ip);
+    *p++ = ',';
+    put_uint(r.key.src_port);
+    *p++ = ',';
+    put_uint(r.key.dst_port);
+    *p++ = ',';
+    put_text(protocols[static_cast<std::size_t>(r.key.protocol)]);
+    *p++ = ',';
+    put_uint(r.packets);
+    *p++ = ',';
+    put_uint(r.bytes);
+    *p++ = ',';
+    *p++ = r.is_attack ? '1' : '0';
+    *p++ = ',';
+    put_text(attacks[static_cast<std::size_t>(r.attack_type)]);
+    *p++ = '\n';
+  }
+  out.write(begin, p - begin);
 }
 
 void write_netflow_csv_file(const FlowTrace& trace, const std::string& path) {

@@ -11,6 +11,9 @@ namespace netshare::net {
 
 // Columns: start_time,duration,src_ip,dst_ip,src_port,dst_port,protocol,
 //          packets,bytes,label,attack_type
+// Times are written with 17 significant digits (%.17g), so they read back
+// exactly. The writer formats into its own buffer and leaves the stream's
+// formatting state (precision, flags, locale) untouched.
 void write_netflow_csv(const FlowTrace& trace, std::ostream& out);
 void write_netflow_csv_file(const FlowTrace& trace, const std::string& path);
 

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/thread_pool.hpp"
 #include "core/netshare.hpp"
@@ -20,6 +23,7 @@
 #include "gan/doppelganger.hpp"
 #include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
+#include "serve/model_registry.hpp"
 
 namespace netshare {
 namespace {
@@ -189,6 +193,41 @@ TEST(SampleInto, ZeroSeriesYieldsEmptyOutput) {
   for (const auto& step : out.features) EXPECT_EQ(step.rows(), 0u);
 }
 
+TEST(Sampler, ConcurrentSamplersOnOneModelEqualSerialSampleInto) {
+  // Two threads share one model's series range, each on its own sampler;
+  // together they must reproduce the model's own serial output.
+  gan::DoppelGanger& model = tiny_trained_model();
+  constexpr std::size_t kSeries = 96, kHalf = 48;
+  gan::GeneratedSeries whole;
+  model.sample_into(kSeries, 2024, 0, whole);
+  gan::GeneratedSeries halves[2];
+  std::vector<std::thread> threads;
+  for (std::size_t h = 0; h < 2; ++h) {
+    threads.emplace_back([&model, &halves, h] {
+      const auto sampler = model.make_sampler();
+      for (int rep = 0; rep < 3; ++rep) {
+        sampler->sample_into(kHalf, 2024, h * kHalf, halves[h]);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < kSeries; ++i) {
+    const gan::GeneratedSeries& part = halves[i / kHalf];
+    const std::size_t j = i % kHalf;
+    ASSERT_EQ(part.lengths[j], whole.lengths[i]) << "series " << i;
+    for (std::size_t c = 0; c < whole.attributes.cols(); ++c) {
+      ASSERT_EQ(part.attributes(j, c), whole.attributes(i, c))
+          << "series " << i << " attr " << c;
+    }
+    for (std::size_t t = 0; t < whole.features.size(); ++t) {
+      for (std::size_t c = 0; c < whole.features[t].cols(); ++c) {
+        ASSERT_EQ(part.features[t](j, c), whole.features[t](i, c))
+            << "series " << i << " step " << t;
+      }
+    }
+  }
+}
+
 core::NetShareConfig tiny_config() {
   core::NetShareConfig cfg;
   cfg.use_ip2vec_ports = false;
@@ -273,6 +312,116 @@ TEST(GeneratePackets, RepeatDeterministicWithSameSeed) {
   const net::PacketTrace b = model.generate_packets(120, rng_b);
   EXPECT_EQ(a.size(), 120u);
   EXPECT_EQ(a.packets, b.packets);
+}
+
+// generate_trace cuts each chunk's series range into 4096-series blocks, so
+// these traces are sized for several blocks per chunk.
+constexpr std::size_t kManyBlockFlows = 40000;
+
+// CIDDS flows squeezed into the first and last 30% of their time span: with
+// 3 chunks the middle one holds no record and trains no model.
+net::FlowTrace flows_with_empty_middle_chunk() {
+  net::FlowTrace trace =
+      datagen::make_dataset(datagen::DatasetId::kCidds, 250, 22).flows;
+  const double start = trace.start_time();
+  const double span = trace.end_time() - start;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    net::FlowRecord& r = trace.records[i];
+    const double squeezed = (r.start_time - start) * 0.3;
+    r.start_time = start + (i % 2 == 0 ? squeezed : 0.7 * span + squeezed);
+  }
+  trace.sort_by_time();
+  return trace;
+}
+
+core::NetShareConfig chunked_config(std::size_t chunks, std::size_t threads) {
+  core::NetShareConfig cfg = tiny_config();
+  cfg.num_chunks = chunks;
+  cfg.threads = threads;
+  return cfg;
+}
+
+TEST(GenerateTrace, FlowsBitwiseEqualAtAnyWorkerCount) {
+  const net::FlowTrace five_chunk_data =
+      datagen::make_dataset(datagen::DatasetId::kCidds, 250, 22).flows;
+  const net::FlowTrace empty_chunk_data = flows_with_empty_middle_chunk();
+  const struct {
+    const net::FlowTrace* data;
+    std::size_t chunks;
+  } cases[] = {{&five_chunk_data, 5}, {&empty_chunk_data, 3}};
+  for (const auto& cs : cases) {
+    net::FlowTrace baseline;
+    for (std::size_t workers : {1, 2, 3, 4, 8}) {
+      core::NetShare model(chunked_config(cs.chunks, workers), nullptr);
+      model.fit(*cs.data);
+      if (cs.chunks == 3) {
+        ASSERT_EQ(model.train_report().chunks[1].status,
+                  core::ChunkTrainReport::Status::kEmpty);
+      }
+      Rng rng(8);
+      const net::FlowTrace out = model.generate_flows(kManyBlockFlows, rng);
+      ASSERT_EQ(out.size(), kManyBlockFlows);
+      if (workers == 1) {
+        baseline = out;
+        continue;
+      }
+      EXPECT_EQ(out.records, baseline.records)
+          << cs.chunks << " chunks, " << workers << " workers";
+    }
+  }
+}
+
+TEST(GenerateTrace, PacketsBitwiseEqualAtAnyWorkerCount) {
+  // Series of at most 2 packets, so each chunk's first round spans several
+  // blocks.
+  constexpr std::size_t kPackets = 60000;
+  const auto bundle = datagen::make_dataset(datagen::DatasetId::kCaida, 300, 21);
+  net::PacketTrace baseline;
+  for (std::size_t workers : {1, 2, 3, 4, 8}) {
+    core::NetShareConfig cfg = chunked_config(5, workers);
+    cfg.max_seq_len = 2;
+    core::NetShare model(cfg, nullptr);
+    model.fit(bundle.packets);
+    Rng rng(9);
+    const net::PacketTrace out = model.generate_packets(kPackets, rng);
+    ASSERT_EQ(out.size(), kPackets);
+    if (workers == 1) {
+      baseline = out;
+      continue;
+    }
+    EXPECT_EQ(out.packets, baseline.packets) << workers << " workers";
+  }
+}
+
+TEST(GenerateTrace, FlowsEqualTheServingLayersSerialPerChunkPath) {
+  // serve::LoadedModel::generate samples each chunk's deficit loop whole, in
+  // chunk order, on the model's own sampler: the oracle for the block
+  // schedule. Same snapshot and seed, so the traces must match bitwise.
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("netshare_generate_" + std::to_string(::getpid())))
+          .string();
+  fs::create_directories(dir);
+  for (const std::size_t chunks : {5, 3}) {
+    const net::FlowTrace data =
+        chunks == 3
+            ? flows_with_empty_middle_chunk()
+            : datagen::make_dataset(datagen::DatasetId::kCidds, 250, 22).flows;
+    core::NetShareConfig cfg = chunked_config(chunks, 4);
+    cfg.checkpoint_dir = dir + "/" + std::to_string(chunks);
+    fs::create_directories(cfg.checkpoint_dir);
+    core::NetShare model(cfg, nullptr);
+    model.fit(data);
+    serve::LoadedModel loaded({cfg, data, nullptr}, cfg.checkpoint_dir, 1);
+    Rng rng(7);
+    const std::uint64_t seed = Rng(7).engine()();
+    const net::FlowTrace offline = model.generate_flows(kManyBlockFlows, rng);
+    const net::FlowTrace serial = loaded.generate(kManyBlockFlows, seed);
+    ASSERT_EQ(offline.size(), serial.size()) << chunks << " chunks";
+    EXPECT_EQ(offline.records, serial.records) << chunks << " chunks";
+  }
+  fs::remove_all(dir);
 }
 
 TEST(ParallelPhaseBudget, ClampsToOneInsideWorkerThread) {

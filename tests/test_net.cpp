@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -377,6 +382,125 @@ TEST(NetflowIo, CsvRoundTrip) {
   const FlowTrace back = read_netflow_csv(ss);
   ASSERT_EQ(back.size(), 1u);
   EXPECT_EQ(back.records[0], r);
+}
+
+// The iostream writer write_netflow_csv replaced: the byte oracle for it.
+std::string iostream_netflow_csv(const FlowTrace& trace) {
+  std::ostringstream out;
+  out << std::setprecision(std::numeric_limits<double>::max_digits10);
+  out << "start_time,duration,src_ip,dst_ip,src_port,dst_port,protocol,"
+         "packets,bytes,label,attack_type\n";
+  for (const auto& r : trace.records) {
+    out << r.start_time << ',' << r.duration << ',' << r.key.src_ip.to_string()
+        << ',' << r.key.dst_ip.to_string() << ',' << r.key.src_port << ','
+        << r.key.dst_port << ',' << protocol_name(r.key.protocol) << ','
+        << r.packets << ',' << r.bytes << ',' << (r.is_attack ? 1 : 0) << ','
+        << attack_type_name(r.attack_type) << '\n';
+  }
+  return out.str();
+}
+
+std::string netflow_csv(const FlowTrace& trace) {
+  std::ostringstream out;
+  write_netflow_csv(trace, out);
+  return out.str();
+}
+
+constexpr int kAttackTypes = 12;  // AttackType::kNone .. kXss
+
+// `n` flows with random times over many magnitudes (positive, as generated
+// traces have), addresses, ports, counts, protocols and attack types.
+FlowTrace random_flows(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  const Protocol protocols[] = {Protocol::kIcmp, Protocol::kTcp,
+                                Protocol::kUdp};
+  FlowTrace t;
+  for (std::size_t i = 0; i < n; ++i) {
+    FlowRecord r;
+    r.start_time = unit(rng) * std::pow(10.0, exponent(rng));
+    r.duration = i % 7 == 0 ? 0.0 : unit(rng) * std::pow(10.0, exponent(rng));
+    r.key.src_ip = Ipv4Address(static_cast<std::uint32_t>(rng()));
+    r.key.dst_ip = Ipv4Address(static_cast<std::uint32_t>(rng()));
+    r.key.src_port = static_cast<std::uint16_t>(rng());
+    r.key.dst_port = static_cast<std::uint16_t>(rng());
+    r.key.protocol = protocols[rng() % 3];
+    r.packets = rng() >> (rng() % 64);
+    r.bytes = rng() >> (rng() % 64);
+    r.attack_type = static_cast<AttackType>(rng() % kAttackTypes);
+    r.is_attack = r.attack_type != AttackType::kNone;
+    t.records.push_back(r);
+  }
+  return t;
+}
+
+TEST(NetflowIo, WriterMatchesIostreamOracleOnEdgeValues) {
+  const double doubles[] = {0.0,
+                            -0.0,
+                            1e-300,
+                            std::numeric_limits<double>::denorm_min(),
+                            2.5e-310,  // another denormal
+                            1e300,
+                            0.1,
+                            1.0,
+                            3.0,
+                            1234567.0,
+                            1e17,
+                            -2.5,
+                            1.0 / 3.0,
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::lowest()};
+  constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t counts[] = {0, 1, 65535, kMax64};
+  const std::uint16_t ports[] = {0, 1, 80, 65535};
+  // Every enumerator, plus a protocol without a name (written as a number).
+  const Protocol protocols[] = {Protocol::kIcmp, Protocol::kTcp,
+                                Protocol::kUdp, static_cast<Protocol>(99)};
+  FlowTrace t;
+  std::size_t i = 0;
+  for (const double d : doubles) {
+    for (const std::uint64_t c : counts) {
+      FlowRecord r;
+      r.start_time = d;
+      r.duration = doubles[(i + 5) % std::size(doubles)];
+      r.key.src_ip = Ipv4Address(static_cast<std::uint32_t>(i * 0x9e3779b9u));
+      r.key.dst_ip = i % 2 ? Ipv4Address(255, 255, 255, 255) : Ipv4Address();
+      r.key.src_port = ports[i % std::size(ports)];
+      r.key.dst_port = ports[(i + 1) % std::size(ports)];
+      r.key.protocol = protocols[i % std::size(protocols)];
+      r.packets = c;
+      r.bytes = counts[(i + 1) % std::size(counts)];
+      r.attack_type = static_cast<AttackType>(i % kAttackTypes);
+      r.is_attack = i % 3 == 0;
+      t.records.push_back(r);
+      ++i;
+    }
+  }
+  EXPECT_EQ(netflow_csv(t), iostream_netflow_csv(t));
+  EXPECT_EQ(netflow_csv(FlowTrace{}), iostream_netflow_csv(FlowTrace{}));
+}
+
+TEST(NetflowIo, WriterMatchesIostreamOracleOnRandomTrace) {
+  const FlowTrace t = random_flows(10000, 77);
+  const std::string csv = netflow_csv(t);
+  EXPECT_GT(csv.size(), 64u * 1024u);  // crosses the writer's buffer flushes
+  EXPECT_EQ(csv, iostream_netflow_csv(t));
+}
+
+TEST(NetflowIo, WriterRoundTripsThroughTheReader) {
+  const FlowTrace t = random_flows(10000, 78);
+  std::stringstream ss;
+  write_netflow_csv(t, ss);
+  const FlowTrace back = read_netflow_csv(ss);
+  EXPECT_EQ(back.records, t.records);
+}
+
+TEST(NetflowIo, WriterLeavesTheStreamsPrecisionAlone) {
+  std::ostringstream out;
+  out << std::setprecision(3);
+  write_netflow_csv(random_flows(3, 79), out);
+  EXPECT_EQ(out.precision(), 3);
 }
 
 TEST(NetflowIo, RejectsMissingHeader) {
