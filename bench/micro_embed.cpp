@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -207,10 +206,9 @@ int main(int argc, char** argv) {
               m.tokens, m.train_sec,
               m_decode_sec / static_cast<double>(q256.rows()) * 1e6);
 
-  // --- Trainer throughput vs batch size / workers (informational) ------
+  // --- Trainer throughput vs batch size (informational) ----------------
   struct ThroughputRow {
     std::size_t batch;
-    std::size_t workers;
     double mips;  // million interactions / sec
   };
   std::vector<ThroughputRow> throughput;
@@ -218,22 +216,19 @@ int main(int argc, char** argv) {
     const auto sentences = synth_sentences(20000, 5);
     const double interactions =  // pairs * (1 + negatives), 1 epoch
         static_cast<double>(sentences.size()) * 20.0 * 3.0;
-    for (const auto& [batch, workers] :
-         std::vector<std::pair<std::size_t, std::size_t>>{
-             {1, 1}, {64, 1}, {256, 1}, {64, 2}}) {
+    for (const std::size_t batch : {1, 64, 256}) {
       Ip2Vec t;
       Ip2Vec::Config cfg;
       cfg.dim = kDim;
       cfg.epochs = 1;
       cfg.negatives = 2;
       cfg.batch_interactions = batch;
-      cfg.workers = workers;
       Rng rng(11);
       Stopwatch sw;
       t.train(sentences, cfg, rng);
-      throughput.push_back({batch, workers, interactions / sw.seconds() / 1e6});
-      std::printf("train batch=%zu workers=%zu: %.2f Mi interactions/s\n",
-                  batch, workers, throughput.back().mips);
+      throughput.push_back({batch, interactions / sw.seconds() / 1e6});
+      std::printf("train batch=%zu: %.2f Mi interactions/s\n", batch,
+                  throughput.back().mips);
     }
   }
 
@@ -273,9 +268,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < throughput.size(); ++i) {
     const auto& r = throughput[i];
     std::fprintf(f,
-                 "    {\"batch_interactions\": %zu, \"workers\": %zu, "
+                 "    {\"batch_interactions\": %zu, "
                  "\"mi_interactions_per_sec\": %.3f}%s\n",
-                 r.batch, r.workers, r.mips,
+                 r.batch, r.mips,
                  i + 1 < throughput.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -1,14 +1,14 @@
-// Micro-benchmark of the kernel layer: serial reference vs the scalar tier
-// vs the dispatched (SIMD where supported) tier, plus end-to-end
-// DoppelGANger training throughput. The thread sweep is clamped to
-// hardware_concurrency — thread counts beyond the machine's cores measure
-// oversubscription, not scaling — with the requested sweep and the clamp
-// recorded in the JSON for transparency. Emits BENCH_kernels.json (path
-// overridable via argv[1]); scripts/check_bench_regression gates it against
-// the committed baseline, comparing only like-for-like thread counts.
+// Micro-benchmark of the kernel layer: serial reference vs the dispatched
+// kernel (plus the pinned scalar tier for A·Bᵀ, the one product op with an
+// AVX2 body), the fused GRU gate, and end-to-end DoppelGANger training
+// throughput. The thread sweep is clamped to hardware_concurrency — thread
+// counts beyond the machine's cores measure oversubscription, not scaling —
+// with the requested sweep and the clamp recorded in the JSON for
+// transparency. Emits BENCH_kernels.json (path overridable via argv[1]);
+// scripts/check_bench_regression gates it against the committed baseline,
+// comparing only like-for-like thread counts.
 #include <algorithm>
 #include <cstdio>
-#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +19,6 @@
 #include "gan/doppelganger.hpp"
 #include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
-#include "ml/workspace.hpp"
 
 using namespace netshare;
 using bench::gflops;
@@ -53,7 +52,8 @@ ml::kernels::KernelConfig tier_cfg(ml::kernels::SimdTier tier,
 }
 
 // One throughput row: serial reference plus, per benched thread count, the
-// dispatched tier ("kernel") and the pinned scalar tier ("scalar").
+// dispatched tier ("kernel") and — for trans_b only — the pinned scalar tier
+// ("scalar"). matmul and trans_a run the same scalar code on every tier.
 struct TierRow {
   double reference = 0.0;
   std::vector<double> kernel;
@@ -89,7 +89,7 @@ TierRow bench_op(Op op, std::size_t n,
           tier_cfg(ml::kernels::SimdTier::kAvx2, t));
       row.kernel.push_back(gflops(n, n, n, time_best(run_kernel)));
     }
-    {
+    if (op == Op::kTransB) {
       ml::kernels::ConfigOverride guard(
           tier_cfg(ml::kernels::SimdTier::kScalar, t));
       row.scalar.push_back(gflops(n, n, n, time_best(run_kernel)));
@@ -137,8 +137,8 @@ DgResult bench_dg_iters_per_sec(ml::kernels::SimdTier tier,
   const gan::TimeSeriesDataset data = toy_data(256);
   gan::DgConfig dg;  // paper-shaped defaults: rnn 48, disc {96,96}
   gan::DoppelGanger model(data.spec, dg, 99);
-  // Warm-up iterations populate the workspace pools, module buffers, and
-  // the autotuner's shape memos so the timed window measures steady state.
+  // Warm-up iterations populate the workspace pools and module buffers so
+  // the timed window measures steady state.
   model.fit(data, warmup);
   ml::alloc_counter::reset();
   Stopwatch sw;
@@ -228,21 +228,17 @@ int main(int argc, char** argv) {
   std::vector<TierRow> mm;
   for (std::size_t n : mm_sizes) {
     mm.push_back(bench_op(Op::kMatmul, n, threads));
-    std::printf("matmul %zu^3: ref %.2f, scalar@1t %.2f, kernel@1t %.2f "
-                "GFLOP/s (simd/scalar %.2fx)\n",
-                n, mm.back().reference, mm.back().scalar[0],
-                mm.back().kernel[0], mm.back().kernel[0] / mm.back().scalar[0]);
+    std::printf("matmul %zu^3: ref %.2f, kernel@1t %.2f GFLOP/s\n", n,
+                mm.back().reference, mm.back().kernel[0]);
   }
   const TierRow ta = bench_op(Op::kTransA, 256, threads);
+  std::printf("matmul_trans_a 256: ref %.2f, kernel@1t %.2f GFLOP/s\n",
+              ta.reference, ta.kernel[0]);
   const TierRow tb = bench_op(Op::kTransB, 256, threads);
-  for (const auto* row : {&ta, &tb}) {
-    std::printf("%s 256: ref %.2f, scalar@1t %.2f, kernel@1t %.2f GFLOP/s "
-                "(simd/scalar %.2fx, kernel/ref %.2fx)\n",
-                row == &ta ? "matmul_trans_a" : "matmul_trans_b",
-                row->reference, row->scalar[0], row->kernel[0],
-                row->kernel[0] / row->scalar[0],
-                row->kernel[0] / row->reference);
-  }
+  std::printf("matmul_trans_b 256: ref %.2f, scalar@1t %.2f, kernel@1t %.2f "
+              "GFLOP/s (simd/scalar %.2fx, kernel/ref %.2fx)\n",
+              tb.reference, tb.scalar[0], tb.kernel[0],
+              tb.kernel[0] / tb.scalar[0], tb.kernel[0] / tb.reference);
 
   const double gate_unfused =
       bench_gate(false, ml::kernels::SimdTier::kAvx2);
@@ -268,23 +264,6 @@ int main(int argc, char** argv) {
                 t, r.iters_per_sec, rs.iters_per_sec, r.allocs_per_iter);
   }
 
-  // Autotune transparency: the plans the benches above converged on, read
-  // through a Workspace (the per-model snapshot path models use).
-  ml::Workspace ws;
-  struct PlanQuery {
-    const char* op_name;
-    ml::kernels::TuneOp op;
-    std::size_t m, k, n;
-  };
-  const PlanQuery queries[] = {
-      {"matmul", ml::kernels::TuneOp::kMatmul, 128, 128, 128},
-      {"matmul", ml::kernels::TuneOp::kMatmul, 256, 256, 256},
-      {"matmul", ml::kernels::TuneOp::kMatmul, 512, 512, 512},
-      {"trans_a", ml::kernels::TuneOp::kTransA, 256, 256, 256},
-      {"trans_b", ml::kernels::TuneOp::kTransB, 256, 256, 256},
-      {"gate", ml::kernels::TuneOp::kGate, 64, 60, 48},
-  };
-
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
@@ -301,41 +280,26 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"matmul_gflops\": [\n");
   for (std::size_t i = 0; i < mm.size(); ++i) {
     std::fprintf(f,
-                 "    {\"size\": %zu, \"reference\": %.3f, \"kernel\": %s, "
-                 "\"scalar\": %s, \"simd_speedup_1t\": %.3f}%s\n",
+                 "    {\"size\": %zu, \"reference\": %.3f, \"kernel\": %s}%s\n",
                  mm_sizes[i], mm[i].reference,
                  json_array(mm[i].kernel).c_str(),
-                 json_array(mm[i].scalar).c_str(),
-                 mm[i].kernel[0] / mm[i].scalar[0],
                  i + 1 < mm.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  for (const auto* row : {&ta, &tb}) {
-    std::fprintf(f,
-                 "  \"matmul_trans_%s_256_gflops\": {\"reference\": %.3f, "
-                 "\"kernel\": %s, \"scalar\": %s, "
-                 "\"simd_speedup_1t\": %.3f},\n",
-                 row == &ta ? "a" : "b", row->reference,
-                 json_array(row->kernel).c_str(),
-                 json_array(row->scalar).c_str(),
-                 row->kernel[0] / row->scalar[0]);
-  }
+  std::fprintf(f,
+               "  \"matmul_trans_a_256_gflops\": {\"reference\": %.3f, "
+               "\"kernel\": %s},\n",
+               ta.reference, json_array(ta.kernel).c_str());
+  std::fprintf(f,
+               "  \"matmul_trans_b_256_gflops\": {\"reference\": %.3f, "
+               "\"kernel\": %s, \"scalar\": %s, "
+               "\"simd_speedup_1t\": %.3f},\n",
+               tb.reference, json_array(tb.kernel).c_str(),
+               json_array(tb.scalar).c_str(), tb.kernel[0] / tb.scalar[0]);
   std::fprintf(f,
                "  \"gru_gate_per_sec\": {\"unfused\": %.1f, \"fused\": %.1f, "
                "\"fused_scalar\": %.1f},\n",
                gate_unfused, gate_fused, gate_fused_scalar);
-  std::fprintf(f, "  \"autotune_plans\": [\n");
-  for (std::size_t i = 0; i < std::size(queries); ++i) {
-    const PlanQuery& q = queries[i];
-    const ml::kernels::TunePlan plan = ws.tune_plan(q.op, q.m, q.k, q.n);
-    std::fprintf(f,
-                 "    {\"op\": \"%s\", \"shape\": [%zu, %zu, %zu], "
-                 "\"jtile\": %u, \"decided\": %s}%s\n",
-                 q.op_name, q.m, q.k, q.n, plan.jtile,
-                 plan.decided ? "true" : "false",
-                 i + 1 < std::size(queries) ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"doppelganger_iters_per_sec\": {\"iterations\": %d, "
                "\"warmup_iterations\": %d, \"kernel\": %s, \"scalar\": %s},\n",

@@ -24,9 +24,6 @@ struct NetShareConfig {
   // into shared tail buckets so million-IP vocabularies stay bounded.
   std::size_t ip2vec_max_ip_slots = 0;
   std::size_t ip2vec_tail_buckets = 256;
-  // Coefficient-phase fan-out of IP2Vec training (0 = hardware concurrency).
-  // Speed only: embeddings are bitwise identical at any worker count.
-  std::size_t ip2vec_workers = 1;
 
   // --- Insight 3: chunked fine-tuning ---
   std::size_t num_chunks = 5;     // M evenly time-spaced chunks
@@ -43,9 +40,10 @@ struct NetShareConfig {
   // it between chunk workers and per-worker kernel threads (see
   // ChunkedTrainer::fit). Parallel kernels are bitwise identical to serial.
   // kernels.simd is the vector-tier ceiling (DESIGN.md §10): kAvx2 (default)
-  // lets runtime CPUID dispatch pick the SIMD tier, kScalar pins the blocked
-  // scalar kernels. Either tier — like the NETSHARE_SIMD=off env override —
-  // produces bitwise-identical models, flows, and snapshots.
+  // lets runtime CPUID dispatch run A·Bᵀ and the fused GRU gate on AVX2,
+  // kScalar pins every op to the blocked scalar kernels. Either tier — like
+  // the NETSHARE_SIMD=off env override — produces bitwise-identical models,
+  // flows, and snapshots.
   ml::kernels::KernelConfig kernels;
 
   // --- Insight 4: differential privacy ---

@@ -16,8 +16,7 @@ namespace netshare::core {
 std::shared_ptr<embed::Ip2Vec> make_public_ip2vec(std::uint64_t seed,
                                                   std::size_t records,
                                                   std::size_t dim,
-                                                  embed::VocabConfig vocab,
-                                                  std::size_t workers) {
+                                                  embed::VocabConfig vocab) {
   const auto pub = datagen::make_dataset(datagen::DatasetId::kCaidaPub,
                                          records, seed);
   auto sentences = embed::sentences_from_packets(pub.packets);
@@ -37,7 +36,6 @@ std::shared_ptr<embed::Ip2Vec> make_public_ip2vec(std::uint64_t seed,
   cfg.dim = dim;
   cfg.epochs = 3;
   cfg.vocab = vocab;
-  cfg.workers = workers;
   Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   model->train(sentences, cfg, rng);
   return model;
@@ -48,8 +46,7 @@ std::shared_ptr<embed::Ip2Vec> make_public_ip2vec_for(
   embed::VocabConfig vocab;
   vocab.max_ip_slots = config.ip2vec_max_ip_slots;
   vocab.ip_tail_buckets = config.ip2vec_tail_buckets;
-  return make_public_ip2vec(seed, records, config.ip2vec_dim, vocab,
-                            config.ip2vec_workers);
+  return make_public_ip2vec(seed, records, config.ip2vec_dim, vocab);
 }
 
 NetShare::NetShare(NetShareConfig config, std::shared_ptr<embed::Ip2Vec> ip2vec)

@@ -19,12 +19,11 @@
 namespace netshare::core {
 
 // Trains an IP2Vec embedding on the public backbone preset (CAIDA Chicago
-// 2015-like), per Insight 2's privacy argument. Deterministic in `seed`
-// (and in nothing else: vocab/workers only bound table size / speed).
+// 2015-like), per Insight 2's privacy argument. Deterministic in
+// (seed, records, dim, vocab); `vocab` bounds the table size.
 std::shared_ptr<embed::Ip2Vec> make_public_ip2vec(
     std::uint64_t seed = 2015, std::size_t records = 4000,
-    std::size_t dim = 4, embed::VocabConfig vocab = {},
-    std::size_t workers = 1);
+    std::size_t dim = 4, embed::VocabConfig vocab = {});
 
 // Same, with the scalability knobs taken from a NetShareConfig.
 std::shared_ptr<embed::Ip2Vec> make_public_ip2vec_for(

@@ -9,13 +9,12 @@
 //
 // Scalable engine (DESIGN.md §12): the vocabulary is sharded per kind
 // (embed/vocab.hpp), training is interaction-batched — coefficients of a
-// batch are computed against the state left by the previous batch (a pure,
-// parallelizable read phase), then applied serially in interaction order —
-// so embeddings are bitwise identical at any worker count, negatives come
-// from a counter-driven alias sampler (embed/alias_sampler.hpp), and decode
-// is a blocked nearest-neighbour kernel over the SIMD matmul tier. The
-// linear scan (nearest / nearest_if) and the serial scorer
-// (nearest_batch_reference) are retained as oracles.
+// batch are computed against the state left by the previous batch, then
+// applied in interaction order — negatives come from a counter-driven alias
+// sampler (embed/alias_sampler.hpp), and decode is a blocked
+// nearest-neighbour search over kernels::matmul_into. The per-pair trainer
+// (train_reference), the linear scan (nearest / nearest_if) and the serial
+// scorer (nearest_batch_reference) are retained as oracles.
 #pragma once
 
 #include <array>
@@ -48,18 +47,14 @@ class Ip2Vec {
     // Negative-sampling distribution: unigram count^neg_power over the whole
     // vocabulary (word2vec's 0.75; 0 = uniform like the legacy sampler).
     double neg_power = 0.75;
-    // Interactions per training batch. Value-affecting (fixed regardless of
-    // worker count); 1 degenerates to classic per-pair sequential SGD.
+    // Interactions per training batch. Value-affecting; 1 degenerates to
+    // classic per-pair sequential SGD.
     // Stability bound: a batch applies stale coefficients, so a row touched
     // t times in one batch moves by ~t·lr of its partner's magnitude —
     // divergence when t·lr ≳ 1. Hot tokens (protocols appear in every
     // sentence) are touched ~batch/15 times per batch, so keep
     // batch_interactions·lr ≲ 15 (the default 64·0.05 = 3.2 is safe).
     std::size_t batch_interactions = 64;
-    // Coefficient-phase fan-out. Speed only: any value (including 0 =
-    // hardware concurrency) yields bitwise-identical embeddings, because
-    // the apply phase is serial in interaction order.
-    std::size_t workers = 1;
     VocabConfig vocab;
   };
 

@@ -6,21 +6,15 @@
 #include "ml/kernels.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <future>
-#include <limits>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -164,119 +158,6 @@ SimdTier resolve_tier(const KernelConfig& cfg) {
   return supported_tier();
 }
 
-// --- online autotuner ------------------------------------------------------
-//
-// The SIMD panels take a register-block width (`jtile`) that trades column
-// reuse of the broadcast A element against live accumulator count. Instead
-// of guessing, the first few dispatches of each (op, shape) each time ONE
-// candidate on the real operands — no re-running, so even non-idempotent
-// kernels (the += accumulator) tune safely — and once every candidate has
-// kTuneRounds timings the argmin is memoized for the life of the process.
-// Every candidate is bitwise-identical, so the plan can only change speed.
-
-constexpr unsigned kDefaultJtile = 16;
-constexpr unsigned kCandidates[] = {8, 16, 32};
-constexpr int kTuneRounds = 2;
-// Below this flop count a dispatch is too short to time meaningfully (and
-// too cheap for the plan to matter): use the default plan, skip the memo.
-constexpr std::size_t kTuneMinFlops = std::size_t{1} << 14;
-
-std::size_t candidate_count(TuneOp op) {
-  // The fused gate keeps two accumulator sets live (x·wx and h·wh), so the
-  // 32-column candidate would spill; it competes at 8 and 16 only.
-  return op == TuneOp::kGate ? 2 : 3;
-}
-
-struct TuneState {
-  unsigned decided = 0;  // 0 = still sampling, else the winning jtile
-  std::array<double, 3> best_s{std::numeric_limits<double>::infinity(),
-                               std::numeric_limits<double>::infinity(),
-                               std::numeric_limits<double>::infinity()};
-  std::array<std::uint8_t, 3> trials{};
-};
-
-std::shared_mutex g_tune_mutex;
-std::unordered_map<std::uint64_t, TuneState> g_tune;
-
-std::uint64_t tune_key(TuneOp op, std::size_t m, std::size_t k,
-                       std::size_t n) {
-  constexpr std::uint64_t kDimMask = (std::uint64_t{1} << 20) - 1;
-  const auto clampd = [](std::size_t d) {
-    return std::uint64_t{d} < kDimMask ? std::uint64_t{d} : kDimMask;
-  };
-  return (static_cast<std::uint64_t>(op) << 60) | (clampd(m) << 40) |
-         (clampd(k) << 20) | clampd(n);
-}
-
-// Runs `run(jtile)` exactly once, picking the width from the memoized plan
-// when decided, otherwise timing the least-sampled candidate.
-template <typename Run>
-void run_autotuned(const KernelConfig& cfg, TuneOp op, std::size_t m,
-                   std::size_t k, std::size_t n, std::size_t flops,
-                   const Run& run) {
-  if (cfg.force_jtile != 0) {
-    run(cfg.force_jtile);
-    return;
-  }
-  if (!cfg.autotune || flops < kTuneMinFlops) {
-    run(kDefaultJtile);
-    return;
-  }
-  const std::uint64_t key = tune_key(op, m, k, n);
-  {
-    std::shared_lock<std::shared_mutex> lock(g_tune_mutex);
-    auto it = g_tune.find(key);
-    if (it != g_tune.end() && it->second.decided != 0) {
-      const unsigned jt = it->second.decided;
-      lock.unlock();
-      run(jt);
-      return;
-    }
-  }
-  int slot = -1;
-  unsigned jt = kDefaultJtile;
-  {
-    std::unique_lock<std::shared_mutex> lock(g_tune_mutex);
-    TuneState& st = g_tune[key];
-    if (st.decided != 0) {
-      jt = st.decided;
-    } else {
-      slot = 0;
-      for (std::size_t c = 1; c < candidate_count(op); ++c) {
-        if (st.trials[c] < st.trials[slot]) slot = static_cast<int>(c);
-      }
-      jt = kCandidates[slot];
-    }
-  }
-  if (slot < 0) {
-    run(jt);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  run(jt);
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  std::unique_lock<std::shared_mutex> lock(g_tune_mutex);
-  TuneState& st = g_tune[key];
-  if (st.decided != 0) return;  // another thread finished sampling
-  const auto s = static_cast<std::size_t>(slot);
-  st.best_s[s] = std::min(st.best_s[s], sec);
-  st.trials[s] = static_cast<std::uint8_t>(st.trials[s] + 1);
-  bool complete = true;
-  for (std::size_t c = 0; c < candidate_count(op); ++c) {
-    if (st.trials[c] < kTuneRounds) complete = false;
-  }
-  if (complete) {
-    std::size_t win = 0;
-    for (std::size_t c = 1; c < candidate_count(op); ++c) {
-      if (st.best_s[c] < st.best_s[win]) win = c;
-    }
-    st.decided = kCandidates[win];
-    TELEM_COUNT("kernels.autotune_decided");
-  }
-}
-
 }  // namespace
 
 SimdTier supported_tier() {
@@ -296,14 +177,6 @@ void reload_simd_env() {
   g_simd_env_cap.store(cap, std::memory_order_release);
 }
 
-TunePlan tuned_plan(TuneOp op, std::size_t rows, std::size_t inner,
-                    std::size_t cols) {
-  std::shared_lock<std::shared_mutex> lock(g_tune_mutex);
-  auto it = g_tune.find(tune_key(op, rows, inner, cols));
-  if (it == g_tune.end() || it->second.decided == 0) return TunePlan{};
-  return TunePlan{it->second.decided, true};
-}
-
 KernelConfig config() {
   std::lock_guard<std::mutex> lock(g_mutex);
   return g_config;
@@ -321,39 +194,10 @@ std::size_t effective_threads() {
 
 bool in_kernel_task() { return tl_in_kernel_task; }
 
-namespace {
-
-// Shared driver for C = A·B (+ optional bias): SIMD tier runs the
-// register-resident panels from kernels_simd.cpp; scalar tier (or the bias
-// epilogue on scalar) is handled by the callers below.
-void matmul_simd(const Matrix& a, const Matrix& b, const double* bias,
-                 Matrix& c, const KernelConfig& cfg) {
-  const std::size_t R = a.rows(), K = a.cols(), C = b.cols();
-  const std::size_t flops = 2 * R * K * C;
-  TELEM_COUNT("kernels.tier_avx2");
-  run_autotuned(cfg, TuneOp::kMatmul, R, K, C, flops, [&](unsigned jt) {
-    run_row_panels(R, flops, [&](std::size_t r0, std::size_t r1) {
-      if (bias == nullptr) {
-        simd::matmul_panel(a.row_ptr(0), K, b.row_ptr(0), C, c.row_ptr(0), C,
-                           K, C, r0, r1, jt);
-      } else {
-        simd::matmul_bias_panel(a.row_ptr(0), K, b.row_ptr(0), C, bias,
-                                c.row_ptr(0), C, K, C, r0, r1, jt);
-      }
-    });
-  });
-}
-
-}  // namespace
-
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
   require(a.cols() == b.rows(), "kernels::matmul: inner dimension mismatch");
   c.resize(a.rows(), b.cols());
   const KernelConfig cfg = config();
-  if (resolve_tier(cfg) == SimdTier::kAvx2) {
-    matmul_simd(a, b, nullptr, c, cfg);
-    return;
-  }
   c.fill(0.0);
   const std::size_t K = a.cols(), C = b.cols();
   const std::size_t KB = std::max<std::size_t>(1, cfg.block_k);
@@ -413,38 +257,10 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
   });
 }
 
-namespace {
-
-// Shared driver for C = Aᵀ·B and C += Aᵀ·B on the SIMD tier. Output rows
-// are columns of A, mirroring the scalar kernel's panel decomposition.
-void trans_a_simd(const Matrix& a, const Matrix& b, Matrix& c, bool acc,
-                  const KernelConfig& cfg) {
-  const std::size_t R = a.cols(), K = a.rows(), C = b.cols();
-  const std::size_t flops = 2 * K * R * C;
-  TELEM_COUNT("kernels.tier_avx2");
-  run_autotuned(cfg, TuneOp::kTransA, R, K, C, flops, [&](unsigned jt) {
-    run_row_panels(R, flops, [&](std::size_t r0, std::size_t r1) {
-      if (acc) {
-        simd::matmul_trans_a_acc_panel(a.row_ptr(0), R, b.row_ptr(0), C,
-                                       c.row_ptr(0), C, K, C, r0, r1, jt);
-      } else {
-        simd::matmul_trans_a_panel(a.row_ptr(0), R, b.row_ptr(0), C,
-                                   c.row_ptr(0), C, K, C, r0, r1, jt);
-      }
-    });
-  });
-}
-
-}  // namespace
-
 void matmul_trans_a_into(const Matrix& a, const Matrix& b, Matrix& c) {
   require(a.rows() == b.rows(), "kernels::matmul_trans_a: row mismatch");
   c.resize(a.cols(), b.cols());
   const KernelConfig cfg = config();
-  if (resolve_tier(cfg) == SimdTier::kAvx2) {
-    trans_a_simd(a, b, c, /*acc=*/false, cfg);
-    return;
-  }
   c.fill(0.0);
   const std::size_t K = a.rows(), C = b.cols();
   const std::size_t KB = std::max<std::size_t>(1, cfg.block_k);
@@ -526,12 +342,9 @@ void matmul_trans_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
     if (K > 0) simd::pack_transpose(b.row_ptr(0), C, K, K, tl_bt.data());
     const std::size_t flops = 2 * a.rows() * K * C;
     TELEM_COUNT("kernels.tier_avx2");
-    run_autotuned(cfg, TuneOp::kTransB, a.rows(), K, C, flops,
-                  [&](unsigned jt) {
-      run_row_panels(a.rows(), flops, [&](std::size_t r0, std::size_t r1) {
-        simd::matmul_trans_b_panel(a.row_ptr(0), K, bt, c.row_ptr(0), C, K,
-                                   C, r0, r1, jt);
-      });
+    run_row_panels(a.rows(), flops, [&](std::size_t r0, std::size_t r1) {
+      simd::matmul_trans_b_panel(a.row_ptr(0), K, bt, c.row_ptr(0), C, K, C,
+                                 r0, r1);
     });
     return;
   }
@@ -615,12 +428,6 @@ void matmul_bias_into(const Matrix& a, const Matrix& b, const Matrix& bias,
           "kernels::matmul_bias: inner dimension mismatch");
   require(bias.rows() == 1 && bias.cols() == b.cols(),
           "kernels::matmul_bias: bias must be 1 x cols(b)");
-  const KernelConfig cfg = config();
-  if (resolve_tier(cfg) == SimdTier::kAvx2) {
-    c.resize(a.rows(), b.cols());
-    matmul_simd(a, b, bias.row_ptr(0), c, cfg);
-    return;
-  }
   matmul_into(a, b, c);
   add_row_broadcast_inplace(c, bias);
 }
@@ -629,14 +436,9 @@ void matmul_trans_a_acc_into(const Matrix& a, const Matrix& b, Matrix& acc) {
   require(a.rows() == b.rows(), "kernels::matmul_trans_a_acc: row mismatch");
   require(acc.rows() == a.cols() && acc.cols() == b.cols(),
           "kernels::matmul_trans_a_acc: acc shape mismatch");
-  const KernelConfig cfg = config();
-  if (resolve_tier(cfg) == SimdTier::kAvx2) {
-    trans_a_simd(a, b, acc, /*acc=*/true, cfg);
-    return;
-  }
-  // Scalar tier: materialize the product into thread-local scratch, then
-  // fold with one add per element — the exact sequence the backward-pass
-  // call sites used before this kernel existed. Grow-only warm-up alloc.
+  // Materialize the product into thread-local scratch, then fold with one
+  // add per element — the exact sequence the backward-pass call sites used
+  // before this kernel existed. Grow-only warm-up alloc.
   static thread_local Matrix tl_prod;
   matmul_trans_a_into(a, b, tl_prod);
   acc += tl_prod;
@@ -658,13 +460,11 @@ void gru_gate_into(const Matrix& x, const Matrix& wx, const Matrix& h,
     const std::size_t In = x.cols(), Hd = h.cols();
     const std::size_t flops = 2 * R * (In + Hd) * G;
     TELEM_COUNT("kernels.tier_avx2");
-    run_autotuned(cfg, TuneOp::kGate, R, In + Hd, G, flops, [&](unsigned jt) {
-      run_row_panels(R, flops, [&](std::size_t r0, std::size_t r1) {
-        simd::gate_panel(x.row_ptr(0), In, wx.row_ptr(0), G, h.row_ptr(0),
-                         Hd, wh.row_ptr(0), G, bias.row_ptr(0),
-                         act == GateAct::kSigmoid ? 0 : 1, out.row_ptr(0), G,
-                         In, Hd, G, r0, r1, jt);
-      });
+    run_row_panels(R, flops, [&](std::size_t r0, std::size_t r1) {
+      simd::gate_panel(x.row_ptr(0), In, wx.row_ptr(0), G, h.row_ptr(0), Hd,
+                       wh.row_ptr(0), G, bias.row_ptr(0),
+                       act == GateAct::kSigmoid ? 0 : 1, out.row_ptr(0), G, In,
+                       Hd, G, r0, r1);
     });
     return;  // scratch untouched: both products stayed register-resident
   }

@@ -18,10 +18,12 @@
 namespace netshare::ml::kernels {
 
 // Kernel tiers (DESIGN.md §10). Every tier writes bitwise-identical output
-// — the tier choice is a speed decision, never a values decision — so the
-// dispatcher is free to pick the fastest tier the host supports. kAvx2 is
-// the explicitly vectorized tier in ml/kernels_simd.cpp (columns vectorized,
-// k-chains untouched, no FMA); kScalar is the blocked tier in this TU.
+// — the tier choice is a speed decision, never a values decision. kAvx2
+// selects the explicitly vectorized bodies in ml/kernels_simd.cpp (columns
+// vectorized, k-chains untouched, no FMA) for the two ops where they win
+// end to end: matmul_trans_b_into and gru_gate_into. matmul_into,
+// matmul_bias_into and the two Aᵀ·B kernels run the blocked scalar code in
+// this TU on every tier.
 enum class SimdTier { kScalar = 0, kAvx2 = 1 };
 
 // Fastest tier the executing CPU supports (cached CPUID probe).
@@ -48,34 +50,7 @@ struct KernelConfig {
   // kScalar when the CPU or NETSHARE_SIMD says so. Identical results either
   // way (the property suite in tests/test_simd.cpp enforces this).
   SimdTier simd = SimdTier::kAvx2;
-  // Online autotuner toggle for the SIMD tier's register-block width: when
-  // on, the first few dispatches of each (op, shape) time one candidate
-  // each on the real operands and memoize the winner process-wide. All
-  // candidates are bitwise-identical, so tuning never perturbs results.
-  bool autotune = true;
-  // Nonzero pins every SIMD dispatch to this register-block width (8, 16,
-  // or 32 output columns), bypassing the autotuner — the property tests use
-  // it to sweep every candidate against the scalar oracle.
-  unsigned force_jtile = 0;
 };
-
-// Shapes are tuned per operation family; the fused bias variant shares
-// kMatmul plans and the accumulating Aᵀ·B variant shares kTransA plans
-// (identical inner-loop structure, one memo each).
-enum class TuneOp { kMatmul = 0, kTransA = 1, kTransB = 2, kGate = 3 };
-
-// An autotuned execution plan for one (op, shape). Plans select speed only;
-// every candidate produces bitwise-identical output.
-struct TunePlan {
-  unsigned jtile = 16;    // register-block width in output columns
-  bool decided = false;   // true once the process-wide autotuner has voted
-};
-
-// The process-wide memoized plan for (op, rows × inner × cols). Returns the
-// default (undecided) plan until enough dispatches of that shape have been
-// timed. Same shapes always yield the same plan within a process.
-TunePlan tuned_plan(TuneOp op, std::size_t rows, std::size_t inner,
-                    std::size_t cols);
 
 // Reads / replaces the process-wide config. Replacing the thread count lazily
 // rebuilds the shared worker pool on the next parallel dispatch; in-flight

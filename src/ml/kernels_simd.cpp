@@ -13,29 +13,15 @@
 // calls — become unreachable stubs.
 namespace netshare::ml::kernels::simd {
 bool cpu_supports_avx2() { return false; }
-void matmul_panel(const double*, std::size_t, const double*, std::size_t,
-                  double*, std::size_t, std::size_t, std::size_t, std::size_t,
-                  std::size_t, unsigned) {}
-void matmul_bias_panel(const double*, std::size_t, const double*, std::size_t,
-                       const double*, double*, std::size_t, std::size_t,
-                       std::size_t, std::size_t, std::size_t, unsigned) {}
-void matmul_trans_a_panel(const double*, std::size_t, const double*,
-                          std::size_t, double*, std::size_t, std::size_t,
-                          std::size_t, std::size_t, std::size_t, unsigned) {}
-void matmul_trans_a_acc_panel(const double*, std::size_t, const double*,
-                              std::size_t, double*, std::size_t, std::size_t,
-                              std::size_t, std::size_t, std::size_t,
-                              unsigned) {}
 void matmul_trans_b_panel(const double*, std::size_t, const double*, double*,
                           std::size_t, std::size_t, std::size_t, std::size_t,
-                          std::size_t, unsigned) {}
+                          std::size_t) {}
 void pack_transpose(const double*, std::size_t, std::size_t, std::size_t,
                     double*) {}
 void gate_panel(const double*, std::size_t, const double*, std::size_t,
                 const double*, std::size_t, const double*, std::size_t,
                 const double*, int, double*, std::size_t, std::size_t,
-                std::size_t, std::size_t, std::size_t, std::size_t,
-                unsigned) {}
+                std::size_t, std::size_t, std::size_t, std::size_t) {}
 }  // namespace netshare::ml::kernels::simd
 
 #else  // __AVX2__
@@ -48,152 +34,6 @@ void gate_panel(const double*, std::size_t, const double*, std::size_t,
 
 namespace netshare::ml::kernels::simd {
 namespace {
-
-// Processes register tiles of NV 4-wide vectors (4*NV output columns)
-// starting at column j0; returns the first unprocessed column. The k loop
-// carries one accumulator chain per output column, ascending k, mul rounded
-// then add rounded, with the reference a(i,k)==0.0 skip. kBias adds bias[j]
-// to the completed sum (one extra rounding, matching
-// add_row_broadcast_inplace after matmul_into).
-template <int NV, bool kBias>
-std::size_t mm_tiles(const double* a, std::size_t lda, const double* b,
-                     std::size_t ldb, const double* bias, double* c,
-                     std::size_t ldc, std::size_t K, std::size_t C,
-                     std::size_t j0, std::size_t r0, std::size_t r1) {
-  constexpr std::size_t JT = 4 * NV;
-  for (; j0 + JT <= C; j0 += JT) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const double* arow = a + i * lda;
-      __m256d acc[NV];
-      for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
-      for (std::size_t k = 0; k < K; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        const __m256d av = _mm256_set1_pd(aik);
-        const double* bp = b + k * ldb + j0;
-        for (int v = 0; v < NV; ++v) {
-          acc[v] = _mm256_add_pd(
-              acc[v], _mm256_mul_pd(av, _mm256_loadu_pd(bp + 4 * v)));
-        }
-      }
-      double* cp = c + i * ldc + j0;
-      if constexpr (kBias) {
-        for (int v = 0; v < NV; ++v) {
-          _mm256_storeu_pd(
-              cp + 4 * v,
-              _mm256_add_pd(acc[v], _mm256_loadu_pd(bias + j0 + 4 * v)));
-        }
-      } else {
-        for (int v = 0; v < NV; ++v) _mm256_storeu_pd(cp + 4 * v, acc[v]);
-      }
-    }
-  }
-  return j0;
-}
-
-template <bool kBias>
-void mm_panel(const double* a, std::size_t lda, const double* b,
-              std::size_t ldb, const double* bias, double* c, std::size_t ldc,
-              std::size_t K, std::size_t C, std::size_t r0, std::size_t r1,
-              unsigned jtile) {
-  std::size_t j0 = 0;
-  switch (jtile) {
-    case 8:
-      j0 = mm_tiles<2, kBias>(a, lda, b, ldb, bias, c, ldc, K, C, 0, r0, r1);
-      break;
-    case 32:
-      j0 = mm_tiles<8, kBias>(a, lda, b, ldb, bias, c, ldc, K, C, 0, r0, r1);
-      break;
-    default:
-      j0 = mm_tiles<4, kBias>(a, lda, b, ldb, bias, c, ldc, K, C, 0, r0, r1);
-      break;
-  }
-  j0 = mm_tiles<1, kBias>(a, lda, b, ldb, bias, c, ldc, K, C, j0, r0, r1);
-  for (; j0 < C; ++j0) {  // scalar column tail: same chain, same skip
-    for (std::size_t i = r0; i < r1; ++i) {
-      const double* arow = a + i * lda;
-      double acc = 0.0;
-      for (std::size_t k = 0; k < K; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        acc += aik * b[k * ldb + j0];
-      }
-      c[i * ldc + j0] = kBias ? acc + bias[j0] : acc;
-    }
-  }
-}
-
-// Aᵀ·B tiles: output row i reduces over a(k,i) — a scalar strided load
-// broadcast across the column lanes. kAcc folds the completed sum into the
-// existing c value with one rounding (the `grad += product` sequence).
-template <int NV, bool kAcc>
-std::size_t ta_tiles(const double* a, std::size_t lda, const double* b,
-                     std::size_t ldb, double* c, std::size_t ldc,
-                     std::size_t K, std::size_t C, std::size_t j0,
-                     std::size_t r0, std::size_t r1) {
-  constexpr std::size_t JT = 4 * NV;
-  for (; j0 + JT <= C; j0 += JT) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      __m256d acc[NV];
-      for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
-      for (std::size_t k = 0; k < K; ++k) {
-        const double aki = a[k * lda + i];
-        if (aki == 0.0) continue;
-        const __m256d av = _mm256_set1_pd(aki);
-        const double* bp = b + k * ldb + j0;
-        for (int v = 0; v < NV; ++v) {
-          acc[v] = _mm256_add_pd(
-              acc[v], _mm256_mul_pd(av, _mm256_loadu_pd(bp + 4 * v)));
-        }
-      }
-      double* cp = c + i * ldc + j0;
-      if constexpr (kAcc) {
-        for (int v = 0; v < NV; ++v) {
-          _mm256_storeu_pd(cp + 4 * v,
-                           _mm256_add_pd(_mm256_loadu_pd(cp + 4 * v), acc[v]));
-        }
-      } else {
-        for (int v = 0; v < NV; ++v) _mm256_storeu_pd(cp + 4 * v, acc[v]);
-      }
-    }
-  }
-  return j0;
-}
-
-template <bool kAcc>
-void ta_panel(const double* a, std::size_t lda, const double* b,
-              std::size_t ldb, double* c, std::size_t ldc, std::size_t K,
-              std::size_t C, std::size_t r0, std::size_t r1, unsigned jtile) {
-  std::size_t j0 = 0;
-  switch (jtile) {
-    case 8:
-      j0 = ta_tiles<2, kAcc>(a, lda, b, ldb, c, ldc, K, C, 0, r0, r1);
-      break;
-    case 32:
-      j0 = ta_tiles<8, kAcc>(a, lda, b, ldb, c, ldc, K, C, 0, r0, r1);
-      break;
-    default:
-      j0 = ta_tiles<4, kAcc>(a, lda, b, ldb, c, ldc, K, C, 0, r0, r1);
-      break;
-  }
-  j0 = ta_tiles<1, kAcc>(a, lda, b, ldb, c, ldc, K, C, j0, r0, r1);
-  for (; j0 < C; ++j0) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < K; ++k) {
-        const double aki = a[k * lda + i];
-        if (aki == 0.0) continue;
-        acc += aki * b[k * ldb + j0];
-      }
-      double* cp = c + i * ldc + j0;
-      if constexpr (kAcc) {
-        *cp += acc;
-      } else {
-        *cp = acc;
-      }
-    }
-  }
-}
 
 // A·Bᵀ tiles over the packed transpose bt (stride C): the ascending-k loop
 // reads contiguous lanes, so each of the 4*NV concurrent dot products is a
@@ -230,50 +70,10 @@ bool cpu_supports_avx2() {
   return ok;
 }
 
-void matmul_panel(const double* a, std::size_t lda, const double* b,
-                  std::size_t ldb, double* c, std::size_t ldc, std::size_t K,
-                  std::size_t C, std::size_t r0, std::size_t r1,
-                  unsigned jtile) {
-  mm_panel<false>(a, lda, b, ldb, nullptr, c, ldc, K, C, r0, r1, jtile);
-}
-
-void matmul_bias_panel(const double* a, std::size_t lda, const double* b,
-                       std::size_t ldb, const double* bias, double* c,
-                       std::size_t ldc, std::size_t K, std::size_t C,
-                       std::size_t r0, std::size_t r1, unsigned jtile) {
-  mm_panel<true>(a, lda, b, ldb, bias, c, ldc, K, C, r0, r1, jtile);
-}
-
-void matmul_trans_a_panel(const double* a, std::size_t lda, const double* b,
-                          std::size_t ldb, double* c, std::size_t ldc,
-                          std::size_t K, std::size_t C, std::size_t r0,
-                          std::size_t r1, unsigned jtile) {
-  ta_panel<false>(a, lda, b, ldb, c, ldc, K, C, r0, r1, jtile);
-}
-
-void matmul_trans_a_acc_panel(const double* a, std::size_t lda,
-                              const double* b, std::size_t ldb, double* c,
-                              std::size_t ldc, std::size_t K, std::size_t C,
-                              std::size_t r0, std::size_t r1, unsigned jtile) {
-  ta_panel<true>(a, lda, b, ldb, c, ldc, K, C, r0, r1, jtile);
-}
-
 void matmul_trans_b_panel(const double* a, std::size_t lda, const double* bt,
                           double* c, std::size_t ldc, std::size_t K,
-                          std::size_t C, std::size_t r0, std::size_t r1,
-                          unsigned jtile) {
-  std::size_t j0 = 0;
-  switch (jtile) {
-    case 8:
-      j0 = tb_tiles<2>(a, lda, bt, c, ldc, K, C, 0, r0, r1);
-      break;
-    case 32:
-      j0 = tb_tiles<8>(a, lda, bt, c, ldc, K, C, 0, r0, r1);
-      break;
-    default:
-      j0 = tb_tiles<4>(a, lda, bt, c, ldc, K, C, 0, r0, r1);
-      break;
-  }
+                          std::size_t C, std::size_t r0, std::size_t r1) {
+  std::size_t j0 = tb_tiles<4>(a, lda, bt, c, ldc, K, C, 0, r0, r1);
   j0 = tb_tiles<1>(a, lda, bt, c, ldc, K, C, j0, r0, r1);
   for (; j0 < C; ++j0) {
     for (std::size_t i = r0; i < r1; ++i) {
@@ -377,15 +177,9 @@ void gate_panel(const double* x, std::size_t ldx, const double* wx,
                 const double* wh, std::size_t ldwh, const double* bias,
                 int act, double* out, std::size_t ldo, std::size_t in_dim,
                 std::size_t h_dim, std::size_t gate_dim, std::size_t r0,
-                std::size_t r1, unsigned jtile) {
-  std::size_t j0 = 0;
-  if (jtile == 8) {
-    j0 = gate_tiles<2>(x, ldx, wx, ldwx, h, ldh, wh, ldwh, bias, act, out,
-                       ldo, in_dim, h_dim, gate_dim, 0, r0, r1);
-  } else {  // 16 is the widest gate tile: two live accumulator sets
-    j0 = gate_tiles<4>(x, ldx, wx, ldwx, h, ldh, wh, ldwh, bias, act, out,
-                       ldo, in_dim, h_dim, gate_dim, 0, r0, r1);
-  }
+                std::size_t r1) {
+  std::size_t j0 = gate_tiles<4>(x, ldx, wx, ldwx, h, ldh, wh, ldwh, bias, act,
+                                 out, ldo, in_dim, h_dim, gate_dim, 0, r0, r1);
   j0 = gate_tiles<1>(x, ldx, wx, ldwx, h, ldh, wh, ldwh, bias, act, out, ldo,
                      in_dim, h_dim, gate_dim, j0, r0, r1);
   for (; j0 < gate_dim; ++j0) {  // scalar tail, same chains and epilogue

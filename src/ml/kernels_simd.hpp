@@ -1,5 +1,6 @@
 // AVX2 panel bodies for the kernel layer — the explicitly vectorized tier
-// behind the runtime dispatch in ml/kernels.cpp (DESIGN.md §10).
+// behind the runtime dispatch in ml/kernels.cpp (DESIGN.md §10). Only A·Bᵀ
+// and the fused GRU gate have one; the other ops run scalar on every tier.
 //
 // Determinism contract: every body below vectorizes across INDEPENDENT
 // output columns only. For each output element the reduction over the inner
@@ -26,37 +27,8 @@ namespace netshare::ml::kernels::simd {
 // True when the CPU executing this process supports AVX2 (cached CPUID).
 bool cpu_supports_avx2();
 
-// C[r0..r1) = A·B. A is (rows×K, stride lda), B is (K×C, stride ldb),
-// C is (rows×C, stride ldc). `jtile` is the register-block width in output
-// columns (8, 16, or 32 — autotuned; any other value falls back to 16).
-// Preserves the reference kernels' a(i,k)==0.0 skip semantics.
-void matmul_panel(const double* a, std::size_t lda, const double* b,
-                  std::size_t ldb, double* c, std::size_t ldc, std::size_t K,
-                  std::size_t C, std::size_t r0, std::size_t r1,
-                  unsigned jtile);
-
-// Same as matmul_panel plus a fused bias-add epilogue: each element gets
-// (full ascending-k sum) + bias[j] — the exact rounding sequence of
-// matmul_into followed by add_row_broadcast_inplace.
-void matmul_bias_panel(const double* a, std::size_t lda, const double* b,
-                       std::size_t ldb, const double* bias, double* c,
-                       std::size_t ldc, std::size_t K, std::size_t C,
-                       std::size_t r0, std::size_t r1, unsigned jtile);
-
-// C[r0..r1) = Aᵀ·B with A stored K×rows (stride lda): c(i,j) reduces over
-// a(k,i)·b(k,j) in ascending-k order with the reference a(k,i)==0.0 skip.
-void matmul_trans_a_panel(const double* a, std::size_t lda, const double* b,
-                          std::size_t ldb, double* c, std::size_t ldc,
-                          std::size_t K, std::size_t C, std::size_t r0,
-                          std::size_t r1, unsigned jtile);
-
-// C[r0..r1) += Aᵀ·B: each output element forms the full ascending-k sum in
-// a register first, then adds it to the existing value with one rounding —
-// the exact sequence of matmul_trans_a_into followed by `acc += product`.
-void matmul_trans_a_acc_panel(const double* a, std::size_t lda,
-                              const double* b, std::size_t ldb, double* c,
-                              std::size_t ldc, std::size_t K, std::size_t C,
-                              std::size_t r0, std::size_t r1, unsigned jtile);
+// Both panel bodies below walk the output columns in 16-wide register
+// tiles (four 4-lane vectors), then one 4-wide tile, then a scalar tail.
 
 // C[r0..r1) = A·Bᵀ where `bt` is the pre-packed transpose of B produced by
 // pack_transpose below: bt[k*C + j] == B(j,k), so the ascending-k inner
@@ -64,8 +36,7 @@ void matmul_trans_a_acc_panel(const double* a, std::size_t lda,
 // kernel and the serial reference, which accumulate every partial product.
 void matmul_trans_b_panel(const double* a, std::size_t lda, const double* bt,
                           double* c, std::size_t ldc, std::size_t K,
-                          std::size_t C, std::size_t r0, std::size_t r1,
-                          unsigned jtile);
+                          std::size_t C, std::size_t r0, std::size_t r1);
 
 // bt[k*rows + j] = b[j*ldb + k] for j in [0,rows), k in [0,cols) — the
 // packed/transposed B panel for matmul_trans_b_panel. Pure data movement
@@ -87,6 +58,6 @@ void gate_panel(const double* x, std::size_t ldx, const double* wx,
                 const double* wh, std::size_t ldwh, const double* bias,
                 int act, double* out, std::size_t ldo, std::size_t in_dim,
                 std::size_t h_dim, std::size_t gate_dim, std::size_t r0,
-                std::size_t r1, unsigned jtile);
+                std::size_t r1);
 
 }  // namespace netshare::ml::kernels::simd

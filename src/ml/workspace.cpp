@@ -29,22 +29,6 @@ std::size_t Workspace::pooled_buffers() const {
   return n;
 }
 
-kernels::TunePlan Workspace::tune_plan(kernels::TuneOp op, std::size_t rows,
-                                       std::size_t inner, std::size_t cols) {
-  // Key mixes the op into the packed shape key; collisions only cost an
-  // extra delegate call, never a wrong plan, because the global memo is the
-  // authority and decided plans are immutable.
-  const std::uint64_t key = (static_cast<std::uint64_t>(op) << 60) ^
-                            (static_cast<std::uint64_t>(rows) << 40) ^
-                            (static_cast<std::uint64_t>(inner) << 20) ^
-                            static_cast<std::uint64_t>(cols);
-  auto it = plans_.find(key);
-  if (it != plans_.end()) return it->second;
-  const kernels::TunePlan plan = kernels::tuned_plan(op, rows, inner, cols);
-  if (plan.decided) plans_.emplace(key, plan);
-  return plan;
-}
-
 std::size_t Workspace::pooled_doubles() const {
   std::size_t n = 0;
   for (const auto& [key, pool] : pools_) {

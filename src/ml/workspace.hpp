@@ -22,7 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 
 namespace netshare::ml {
@@ -42,22 +41,12 @@ class Workspace {
   std::size_t pooled_buffers() const;
   std::size_t pooled_doubles() const;
 
-  // Per-model snapshot of the kernel autotuner (DESIGN.md §10): delegates to
-  // the process-wide kernels::tuned_plan and, once that shape's plan is
-  // decided, memoizes it here so the model's own lock-free cache answers all
-  // later queries. Undecided shapes return the default plan uncached, so the
-  // snapshot never goes stale. Same shapes always yield the same plan.
-  kernels::TunePlan tune_plan(kernels::TuneOp op, std::size_t rows,
-                              std::size_t inner, std::size_t cols);
-  std::size_t cached_plans() const { return plans_.size(); }
-
  private:
   struct Pool {
     std::vector<std::unique_ptr<Matrix>> buffers;
     std::size_t next = 0;
   };
   std::unordered_map<std::uint64_t, Pool> pools_;
-  std::unordered_map<std::uint64_t, kernels::TunePlan> plans_;
 };
 
 }  // namespace netshare::ml

@@ -319,26 +319,18 @@ std::vector<std::vector<Token>> small_public_sentences(std::size_t records,
   return sentences_from_packets(pub.packets);
 }
 
-TEST(Ip2VecTrain, BatchedEngineMatchesReferenceAtAnyWorkerCount) {
+TEST(Ip2VecTrain, BatchedEngineMatchesReference) {
   const auto sentences = small_public_sentences(600, 11);
   for (std::uint64_t seed : {7ull, 99ull}) {
     Ip2Vec::Config cfg;
     cfg.dim = 6;
     cfg.epochs = 2;
     cfg.batch_interactions = 64;
-    Ip2Vec ref;
-    {
-      Rng rng(seed);
-      ref.train_reference(sentences, cfg, rng);
-    }
-    for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-      cfg.workers = workers;
-      Ip2Vec m;
-      Rng rng(seed);
-      m.train(sentences, cfg, rng);
-      EXPECT_TRUE(m.bitwise_equal(ref))
-          << "workers=" << workers << " seed=" << seed;
-    }
+    Ip2Vec ref, m;
+    Rng ra(seed), rb(seed);
+    ref.train_reference(sentences, cfg, ra);
+    m.train(sentences, cfg, rb);
+    EXPECT_TRUE(m.bitwise_equal(ref)) << "seed=" << seed;
   }
 }
 
@@ -355,13 +347,10 @@ TEST(Ip2VecTrain, IdentityHoldsUnderFrequencyCap) {
     ref.train_reference(sentences, cfg, rng);
   }
   EXPECT_TRUE(ref.vocab().ip_capped());
-  for (std::size_t workers : {1u, 3u}) {
-    cfg.workers = workers;
-    Ip2Vec m;
-    Rng rng(3);
-    m.train(sentences, cfg, rng);
-    EXPECT_TRUE(m.bitwise_equal(ref)) << workers;
-  }
+  Ip2Vec m;
+  Rng rng(3);
+  m.train(sentences, cfg, rng);
+  EXPECT_TRUE(m.bitwise_equal(ref));
 }
 
 TEST(Ip2VecTrain, BatchSizeOneIsThePerPairOracle) {
@@ -372,7 +361,6 @@ TEST(Ip2VecTrain, BatchSizeOneIsThePerPairOracle) {
   cfg.dim = 4;
   cfg.epochs = 1;
   cfg.batch_interactions = 1;
-  cfg.workers = 4;
   Ip2Vec a, b;
   Rng ra(5), rb(5);
   a.train(sentences, cfg, ra);

@@ -1,9 +1,8 @@
 // Lockdown suite for the SIMD kernel tier (DESIGN.md §10): randomized
-// ragged-shape property sweep against the scalar-tier oracle across every
-// register-block candidate and thread count, forced-fallback equivalence
-// (NETSHARE_SIMD=off env and KernelConfig::simd API), autotuner determinism
-// (same shapes → same plan, global memo and Workspace snapshot), and a
-// per-tier end-to-end DoppelGanger fit+sample bitwise check.
+// ragged-shape property sweep (plus the shapes training dispatches) against
+// the single-thread scalar-tier oracle across tiers and thread counts,
+// forced-fallback equivalence (NETSHARE_SIMD=off env and KernelConfig::simd
+// API), and a per-tier end-to-end DoppelGanger fit+sample bitwise check.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,7 +13,6 @@
 #include "gan/doppelganger.hpp"
 #include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
-#include "ml/workspace.hpp"
 
 namespace netshare::ml {
 namespace {
@@ -35,14 +33,20 @@ bool simd_available() {
   return kernels::supported_tier() == kernels::SimdTier::kAvx2;
 }
 
-kernels::KernelConfig tier_cfg(kernels::SimdTier tier, std::size_t threads,
-                               unsigned force_jtile = 0) {
+kernels::KernelConfig tier_cfg(kernels::SimdTier tier, std::size_t threads) {
   kernels::KernelConfig cfg;
   cfg.threads = threads;
   cfg.min_parallel_flops = threads > 1 ? 0 : cfg.min_parallel_flops;
   cfg.simd = tier;
-  cfg.force_jtile = force_jtile;
   return cfg;
+}
+
+constexpr kernels::SimdTier kTiers[] = {kernels::SimdTier::kScalar,
+                                        kernels::SimdTier::kAvx2};
+constexpr std::size_t kThreadCounts[] = {1, 4};
+
+std::string tier_name(kernels::SimdTier tier) {
+  return tier == kernels::SimdTier::kAvx2 ? "avx2" : "scalar";
 }
 
 // Restores (or clears) an environment variable on scope exit, so a failing
@@ -84,14 +88,17 @@ struct RaggedShape {
   std::size_t m, k, n;
 };
 
-// Ragged tails 1..17, primes, tile boundaries of every jtile candidate
-// (8/16/32 plus the 4-wide and scalar column tails), and empty matrices.
+// Ragged tails 1..17, primes, boundaries of the 16-wide register tile and
+// its 4-wide and scalar column tails, empty matrices, and the per-layer
+// shapes a DoppelGANger training step dispatches (m x k x n: the 113- and
+// 185-wide tails of the fixed tile).
 std::vector<RaggedShape> ragged_shapes() {
   std::vector<RaggedShape> shapes = {
       {0, 5, 7}, {5, 0, 7},  {5, 7, 0},  {0, 0, 0},  {1, 1, 1},
       {1, 17, 1}, {2, 3, 5},  {7, 11, 13}, {17, 17, 17}, {3, 1, 31},
       {13, 29, 37}, {9, 16, 33}, {5, 8, 32}, {6, 64, 8}, {11, 5, 16},
       {4, 7, 41},  {23, 13, 64}, {8, 31, 24},
+      {64, 113, 48}, {64, 48, 113}, {113, 64, 48}, {256, 185, 96},
   };
   Rng rng(424242);
   for (int i = 0; i < 24; ++i) {  // randomized ragged sweep
@@ -128,19 +135,16 @@ OracleCase make_oracle(const RaggedShape& s, Rng& rng) {
 }
 
 TEST(Simd, PropertySweepRaggedShapesMatchScalarOracle) {
-  if (!simd_available()) GTEST_SKIP() << "host has no AVX2";
   Rng rng(9001);
   Matrix got;
   for (const RaggedShape& s : ragged_shapes()) {
     const OracleCase oc = make_oracle(s, rng);
-    // jtile 0 = autotuned path; 8/16/32 pin each register-block candidate.
-    for (const unsigned jt : {0u, 8u, 16u, 32u}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        kernels::ConfigOverride guard(
-            tier_cfg(kernels::SimdTier::kAvx2, threads, jt));
+    for (const kernels::SimdTier tier : kTiers) {
+      for (const std::size_t threads : kThreadCounts) {
+        kernels::ConfigOverride guard(tier_cfg(tier, threads));
         SCOPED_TRACE("shape=" + std::to_string(s.m) + "x" +
                      std::to_string(s.k) + "x" + std::to_string(s.n) +
-                     " jtile=" + std::to_string(jt) +
+                     " tier=" + tier_name(tier) +
                      " threads=" + std::to_string(threads));
         kernels::matmul_into(oc.a, oc.b, got);
         expect_bitwise(got, oc.want_mm, "matmul_into");
@@ -158,8 +162,7 @@ TEST(Simd, PropertySweepRaggedShapesMatchScalarOracle) {
   }
 }
 
-TEST(Simd, FusedGateMatchesScalarOracleAcrossCandidatesAndThreads) {
-  if (!simd_available()) GTEST_SKIP() << "host has no AVX2";
+TEST(Simd, FusedGateMatchesScalarOracleAcrossTiersAndThreads) {
   Rng rng(9002);
   const RaggedShape gate_shapes[] = {
       {1, 1, 1}, {2, 3, 5}, {17, 13, 17}, {33, 7, 41}, {16, 16, 48},
@@ -179,13 +182,12 @@ TEST(Simd, FusedGateMatchesScalarOracleAcrossCandidatesAndThreads) {
             tier_cfg(kernels::SimdTier::kScalar, 1));
         kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, want);
       }
-      for (const unsigned jt : {0u, 8u, 16u, 32u}) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-          kernels::ConfigOverride guard(
-              tier_cfg(kernels::SimdTier::kAvx2, threads, jt));
+      for (const kernels::SimdTier tier : kTiers) {
+        for (const std::size_t threads : kThreadCounts) {
+          kernels::ConfigOverride guard(tier_cfg(tier, threads));
           SCOPED_TRACE("gate=" + std::to_string(s.m) + "x" +
                        std::to_string(s.k) + "x" + std::to_string(s.n) +
-                       " jtile=" + std::to_string(jt) +
+                       " tier=" + tier_name(tier) +
                        " threads=" + std::to_string(threads));
           kernels::gru_gate_into(x, wx, h, wh, bias, act, scratch, out);
           expect_bitwise(out, want, "gru_gate_into");
@@ -226,69 +228,6 @@ TEST(Simd, ApiForcedFallbackMatchesDispatchedPath) {
     kernels::matmul_bias_into(a, b, bias, fallback);
   }
   expect_bitwise(fallback, dispatched, "API-forced scalar fallback");
-}
-
-TEST(Simd, AutotunerDecidesDeterministicPlanAndWorkspaceCachesIt) {
-  if (!simd_available()) GTEST_SKIP() << "host has no AVX2";
-  Rng rng(9005);
-  // Unique prime dims so this test owns the memo entry regardless of what
-  // other tests dispatched before it; flops are far above the tuning floor.
-  const std::size_t m = 59, k = 61, n = 53;
-  const Matrix a = Matrix::randn(m, k, rng);
-  const Matrix b = Matrix::randn(k, n, rng);
-  Matrix c;
-  kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kAvx2, 1));
-  // 3 candidates × 2 timing rounds: the 7th dispatch runs on a decided plan.
-  for (int i = 0; i < 8; ++i) kernels::matmul_into(a, b, c);
-  const kernels::TunePlan plan =
-      kernels::tuned_plan(kernels::TuneOp::kMatmul, m, k, n);
-  EXPECT_TRUE(plan.decided) << "autotuner should have converged";
-  EXPECT_TRUE(plan.jtile == 8 || plan.jtile == 16 || plan.jtile == 32);
-  // Same shapes → same plan: the memo is immutable once decided.
-  for (int i = 0; i < 3; ++i) {
-    const kernels::TunePlan again =
-        kernels::tuned_plan(kernels::TuneOp::kMatmul, m, k, n);
-    EXPECT_EQ(again.decided, plan.decided);
-    EXPECT_EQ(again.jtile, plan.jtile);
-  }
-  // The per-model Workspace snapshot returns the same plan and memoizes it.
-  Workspace ws;
-  const kernels::TunePlan from_ws =
-      ws.tune_plan(kernels::TuneOp::kMatmul, m, k, n);
-  EXPECT_TRUE(from_ws.decided);
-  EXPECT_EQ(from_ws.jtile, plan.jtile);
-  EXPECT_EQ(ws.cached_plans(), 1u);
-  const kernels::TunePlan cached =
-      ws.tune_plan(kernels::TuneOp::kMatmul, m, k, n);
-  EXPECT_EQ(cached.jtile, plan.jtile);
-  EXPECT_EQ(ws.cached_plans(), 1u);
-  // An undecided shape reports the default plan and is never cached stale.
-  const kernels::TunePlan undecided =
-      ws.tune_plan(kernels::TuneOp::kTransB, 997, 991, 983);
-  EXPECT_FALSE(undecided.decided);
-  EXPECT_EQ(ws.cached_plans(), 1u);
-}
-
-TEST(Simd, AutotunerConvergesForTheFusedGate) {
-  if (!simd_available()) GTEST_SKIP() << "host has no AVX2";
-  Rng rng(9006);
-  const std::size_t batch = 43, in = 19, hid = 47;
-  const Matrix x = Matrix::randn(batch, in, rng);
-  const Matrix wx = Matrix::randn(in, hid, rng);
-  const Matrix h = Matrix::randn(batch, hid, rng);
-  const Matrix wh = Matrix::randn(hid, hid, rng);
-  const Matrix bias = Matrix::randn(1, hid, rng);
-  Matrix scratch, out;
-  kernels::ConfigOverride guard(tier_cfg(kernels::SimdTier::kAvx2, 1));
-  for (int i = 0; i < 6; ++i) {  // 2 gate candidates × 2 rounds, plus slack
-    kernels::gru_gate_into(x, wx, h, wh, bias, kernels::GateAct::kSigmoid,
-                           scratch, out);
-  }
-  const kernels::TunePlan plan =
-      kernels::tuned_plan(kernels::TuneOp::kGate, batch, in + hid, hid);
-  EXPECT_TRUE(plan.decided);
-  EXPECT_TRUE(plan.jtile == 8 || plan.jtile == 16)
-      << "gate competes only the 8/16 candidates (register pressure)";
 }
 
 // --- end-to-end: full DoppelGanger fit+sample per kernel tier -------------
